@@ -38,6 +38,21 @@ class ScenarioError(ValueError):
     """Scenario config violates the documented schema; message carries the field path."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with EXIT_USAGE, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def _get(doc: dict, key: str, path: str, required: bool = False, default=None):
     if key not in doc:
         if required:
@@ -105,8 +120,14 @@ def load_scenario(path: str) -> dict:
         min_pos=int(pipeline.get("min_pos", 3)),
         min_neg=int(pipeline.get("min_neg", 3)))
 
+    sample_rate = float(doc.get("sample_rate", signal_sim.DEFAULT_SAMPLE_RATE))
+    try:
+        signal_sim.samples_per_epoch(sample_rate)
+    except ValueError as exc:
+        raise ScenarioError(f"scenario.sample_rate: {exc}") from exc
+
     return {
-        "sample_rate": float(doc.get("sample_rate", signal_sim.DEFAULT_SAMPLE_RATE)),
+        "sample_rate": sample_rate,
         "duration": float(_get(doc, "duration", "scenario", required=True)),
         "noise_seed": int(doc.get("noise_seed", 0)),
         "noise_power": float(doc.get("noise_power", 1.0)),
@@ -368,7 +389,7 @@ def cmd_detect(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gnssfp",
         description="GPS spoofing detection by fingerprinting EPL correlator outputs")
     parser.add_argument("--version", action="version", version=__version__)
@@ -388,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=default_out)
     p.add_argument("--doppler-range", type=float, default=5000.0)
     p.add_argument("--doppler-bin", type=float, default=250.0)
-    p.add_argument("--jobs", type=int, default=4)
+    p.add_argument("--jobs", type=_jobs, default=4)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("extract", help="extract fingerprint features from epoch CSVs")
@@ -438,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=default_out)
     p.add_argument("--doppler-range", type=float, default=5000.0)
     p.add_argument("--doppler-bin", type=float, default=250.0)
-    p.add_argument("--jobs", type=int, default=4)
+    p.add_argument("--jobs", type=_jobs, default=4)
     p.set_defaults(func=cmd_detect)
     return parser
 

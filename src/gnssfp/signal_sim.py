@@ -10,6 +10,17 @@ another are modeled explicitly by HardwareSignature: an amplitude imbalance
 between the two data-bit polarities, a short bandlimiting FIR, and a
 per-epoch carrier phase random walk. Each term measurably shifts the
 high/low correlator feature means the detector fingerprints.
+
+Synthesis is built on the 1 ms C/A code period. The code runs at exactly
+CHIP_RATE (no code Doppler) and the sample rate must give a whole number of
+samples per period (2048 at 2.048 MHz), so the filtered chip waveform is
+one periodic tile. The tile also carries the carrier's advance within the
+period; each epoch then scales it by one complex scalar, a per-epoch
+rotator holding the Doppler phase at the epoch start, the carrier phase
+offset, the phase walk and the nav bit with its polarity gain (as in
+GNSS-SDR's volk_32fc_s32fc_x2_rotator_32fc kernel). A bit edge can only fall
+where the code wraps, at the same in-tile sample every epoch, so an epoch
+needs one scalar before that sample and one after it.
 """
 
 from __future__ import annotations
@@ -25,7 +36,10 @@ NAV_BIT_RATE = 50.0  # bits/s
 BITS_PER_SUBFRAME = 300
 SUBFRAMES_PER_FRAME = 5
 SUBFRAME_PREAMBLE = (1, 0, 0, 0, 1, 0, 1, 1)
-SIM_EPOCH = 1e-3  # granularity of the phase random walk and synthesis chunking
+# One C/A code period: the synthesis tile length and the step of the phase
+# random walk and of the per-epoch carrier rotator.
+SIM_EPOCH = 1e-3
+_BLOCK_EPOCHS = 64  # epochs written to the output per block
 
 LABEL_GENUINE = 0
 LABEL_SPOOFED = 1
@@ -187,15 +201,50 @@ def _satellite_amplitude(cn0: float, noise_power: float, sample_rate: float) -> 
     return float(np.sqrt(10.0 ** (cn0 / 10.0) * noise_power / sample_rate))
 
 
+def samples_per_epoch(sample_rate: float) -> int:
+    """Samples in one SIM_EPOCH (one C/A code period), checked to be whole.
+
+    Synthesis repeats one 1 ms tile per epoch, which is exact only when the
+    code period spans a whole number of samples (2048 at 2.048 MHz).
+    """
+    if sample_rate < 2 * CHIP_RATE:
+        raise ValueError(f"sample_rate must be >= {2 * CHIP_RATE} Hz, got {sample_rate}")
+    exact = sample_rate * SIM_EPOCH
+    epoch_len = int(round(exact))
+    if abs(exact - epoch_len) > 1e-9 * epoch_len:
+        raise ValueError(f"sample_rate must give a whole number of samples per "
+                         f"{SIM_EPOCH * 1e3:g} ms, got {sample_rate} Hz")
+    return epoch_len
+
+
 def _synthesize_satellite(scenario: SatelliteScenario, sample_rate: float, n: int,
                           amplitude: float, phase_seed: int,
                           out: np.ndarray) -> None:
-    """Accumulate one satellite's clean signal into `out` (complex64, length n)."""
+    """Accumulate one satellite's clean signal into `out` (complex64, length n).
+
+    Sample i = E*k + r of epoch k is tile[r] times one complex scalar of
+    epoch k, amp(bit) * bit * exp(j(omega*E*k + phi0 + walk[k])). The bit
+    can only change where the code wraps, at the fixed in-tile sample
+    `wrap`, so each epoch has a scalar before the wrap and one after it.
+    """
     sig = scenario.signature
-    code = generate_ca_code(scenario.prn)
-    chips = code.chips.astype(np.float64)
+    epoch_len = samples_per_epoch(sample_rate)
+    n_sim_epochs = -(-n // epoch_len)
+
+    # The tile: nearest-chip code, FIR applied circularly over the period,
+    # and the carrier's advance within the epoch.
+    chips = generate_ca_code(scenario.prn).chips.astype(np.float64)
     taps = np.asarray(sig.filter_taps, dtype=np.float64)
-    pad = len(taps)  # raw chip-sample margin so the FIR has no chunk edges
+    pad = len(taps)
+    step = CHIP_RATE / sample_rate
+    omega = 2.0 * np.pi * scenario.doppler / sample_rate
+    r = np.arange(epoch_len, dtype=np.float64)
+    phase_chips = scenario.code_phase0 + step * r
+    raw = chips[np.mod(phase_chips, float(CODE_LENGTH)).astype(np.int64)]
+    filt = np.convolve(np.pad(raw, pad, mode="wrap"), taps, mode="same")[pad:pad + epoch_len]
+    tile = (filt * np.exp(1j * omega * r)).astype(np.complex64)
+    period = np.floor(phase_chips / CODE_LENGTH)
+    wrap = int(np.searchsorted(period, period[0] + 1.0))
 
     # Bit edges ride the code timeline: one bit per 20 code periods of
     # elapsed chips, so edges generally fall off the receiver's epoch grid.
@@ -203,55 +252,40 @@ def _synthesize_satellite(scenario: SatelliteScenario, sample_rate: float, n: in
     bits = synthesize_nav_bits(scenario.prn, scenario.nav_seed,
                                n / sample_rate + scenario.code_phase0 / CHIP_RATE
                                + 2.0 / NAV_BIT_RATE)
-
     g = sig.gain_asymmetry
     norm = np.sqrt((g * g + 1.0) / 2.0)
     amp_pos = amplitude * g / norm
     amp_neg = amplitude / norm
 
+    # Phase random walk advances once per SIM_EPOCH.
     rng = _signature_rng(phase_seed, scenario.prn)
-    step = CHIP_RATE / sample_rate
-    omega = 2.0 * np.pi * scenario.doppler / sample_rate
-
-    # Phase random walk advances once per SIM_EPOCH; synthesis runs in
-    # larger chunks with the walk expanded by repetition.
-    epoch_len = int(round(sample_rate * SIM_EPOCH))
-    n_sim_epochs = -(-n // epoch_len)
     if sig.phase_noise_std > 0:
         walk = np.cumsum(rng.normal(0.0, sig.phase_noise_std, n_sim_epochs))
     else:
         walk = np.zeros(n_sim_epochs)
+    first = np.arange(n_sim_epochs) * float(epoch_len)
+    rotator = np.exp(1j * (omega * first + scenario.carrier_phase0 + walk))
 
-    chunk_epochs = 128
-    chunk = chunk_epochs * epoch_len
-    base_arr = np.arange(-pad, chunk + pad, dtype=np.float64)
-    # All-real arithmetic throughout; complex values only exist as the
-    # separate real/imag accumulations into the output views.
-    for i0 in range(0, n, chunk):
-        m = min(chunk, n - i0)
-        i_arr = base_arr[:m + 2 * pad] + float(i0)
-        phase_chips = scenario.code_phase0 + step * i_arr
-        idx = np.mod(phase_chips, float(CODE_LENGTH)).astype(np.int64)
-        raw = chips[idx]
-        if len(taps) > 1:
-            filt = np.convolve(raw, taps, mode="same")
-        else:
-            filt = raw * taps[0]
-        filt = filt[pad:pad + m]
+    def epoch_scalars(first_sample):
+        b = bits[((scenario.code_phase0 + step * first_sample)
+                  / chips_per_bit).astype(np.int64)]
+        return (np.where(b > 0, amp_pos, amp_neg) * b * rotator).astype(np.complex64)
 
-        bit_idx = (phase_chips[pad:pad + m] / chips_per_bit).astype(np.int64)
-        b = bits[bit_idx].astype(np.float64)
-        envelope = np.where(b > 0, amp_pos, amp_neg)
-        envelope *= b
-        envelope *= filt
+    before = epoch_scalars(first)
+    after = epoch_scalars(first + wrap)
 
-        k0 = i0 // epoch_len
-        k1 = -(-(i0 + m) // epoch_len)
-        pn = np.repeat(walk[k0:k1], epoch_len)[i0 - k0 * epoch_len:
-                                               i0 - k0 * epoch_len + m]
-        theta = omega * i_arr[pad:pad + m] + scenario.carrier_phase0 + pn
-        out[i0:i0 + m].real += envelope * np.cos(theta)
-        out[i0:i0 + m].imag += envelope * np.sin(theta)
+    def accumulate(block, k0):
+        k1 = k0 + block.shape[0]
+        t = tile[:block.shape[1]]
+        block[:, :wrap] += before[k0:k1, None] * t[:wrap]
+        block[:, wrap:] += after[k0:k1, None] * t[wrap:]
+
+    n_full = n // epoch_len
+    for k0 in range(0, n_full, _BLOCK_EPOCHS):
+        k1 = min(k0 + _BLOCK_EPOCHS, n_full)
+        accumulate(out[k0 * epoch_len:k1 * epoch_len].reshape(k1 - k0, epoch_len), k0)
+    if n_full < n_sim_epochs:
+        accumulate(out[n_full * epoch_len:n].reshape(1, -1), n_full)
 
 
 def synthesize_genuine(scenarios, sample_rate: float = DEFAULT_SAMPLE_RATE,
@@ -262,10 +296,10 @@ def synthesize_genuine(scenarios, sample_rate: float = DEFAULT_SAMPLE_RATE,
     Each satellite contributes amp * gain(bit) * (code (*) fir) * bit *
     exp(j(2 pi doppler t + phi0 + phase_walk)); complex AWGN of total power
     noise_power per sample is added on top when add_noise is set. All labels
-    are "genuine".
+    are "genuine". Raises ValueError unless sample_rate is at least two
+    samples per chip and a whole number of samples per SIM_EPOCH.
     """
-    if sample_rate < 2 * CHIP_RATE:
-        raise ValueError(f"sample_rate must be >= {2 * CHIP_RATE} Hz, got {sample_rate}")
+    samples_per_epoch(sample_rate)
     prns = [s.prn for s in scenarios]
     if len(set(prns)) != len(prns):
         raise ValueError(f"duplicate PRNs in scenario list: {sorted(prns)}")
@@ -282,9 +316,10 @@ def synthesize_genuine(scenarios, sample_rate: float = DEFAULT_SAMPLE_RATE,
         chunk = 1 << 20
         for i0 in range(0, n, chunk):
             m = min(chunk, n - i0)
-            noise = rng.standard_normal(2 * m) * sigma
-            out[i0:i0 + m].real += noise[0::2]
-            out[i0:i0 + m].imag += noise[1::2]
+            noise = rng.standard_normal(2 * m)
+            noise *= sigma
+            interleaved = out[i0:i0 + m].view(np.float32)
+            interleaved += noise
 
     return IqStream(out, sample_rate, t0=0.0,
                     labels=np.full(n, LABEL_GENUINE, dtype=np.uint8))
@@ -383,19 +418,17 @@ def spoof_overlay(genuine: IqStream, attack: AttackConfig, target_scenarios,
         else:
             out.samples[k0:] = att[k0:]
     else:
+        # One buffer: the attacker, minus the clean genuine signal when the
+        # takeover removes it.
         att = np.zeros(n, dtype=np.complex64)
-        clean = np.zeros(n, dtype=np.complex64)
         for scen in target_scenarios:
             amp = _satellite_amplitude(scen.cn0, noise_power, fs)
             spoofed_scen = replace(scen, signature=attack.spoofer_signature)
             _synthesize_satellite(spoofed_scen, fs, n, amp * scale,
                                   attack.attack_seed, att)
             if not attack.seamless:
-                _synthesize_satellite(scen, fs, n, amp, noise_seed, clean)
-        if attack.seamless:
-            out.samples[k0:] += att[k0:]
-        else:
-            out.samples[k0:] += att[k0:] - clean[k0:]
+                _synthesize_satellite(scen, fs, n, -amp, noise_seed, att)
+        out.samples[k0:] += att[k0:]
 
     if attack.seamless and attack.power_offset_db < 0:
         out.labels[k0:] = LABEL_MIXED

@@ -10,7 +10,7 @@ import numpy as np
 from gnssfp import fingerprint_features as ff
 from gnssfp import receiver_core as rc
 from gnssfp import signal_sim as ss
-from gnssfp.prn_codes import CHIP_RATE
+from gnssfp.prn_codes import CHIP_RATE, generate_ca_code
 from gnssfp.spoof_detector import DECISION_AUTHENTIC
 
 
@@ -54,6 +54,47 @@ def despread_cn0_oracle(iq, scenario, n_epochs=400):
     carrier_power = max((post - raw / n) / (1.0 - 1.0 / n), 1e-30)
     noise_density = max(raw - carrier_power, 1e-30) / fs
     return 10 * np.log10(carrier_power / noise_density)
+
+
+def synth_satellite_oracle(scenario, sample_rate, n, noise_power=1.0, phase_seed=0):
+    """Direct per-sample synthesis of one satellite's clean signal (complex128).
+
+    Every sample gets its own chip index, nav-bit index and full carrier
+    phase; the FIR is an explicit tap sum over neighbouring samples' chips
+    (centred as numpy's mode="same"). Nav bits and the phase walk are drawn
+    from the documented seeds, and the amplitude follows from C/N0 against a
+    noise density of noise_power / sample_rate.
+    """
+    sig = scenario.signature
+    fs = sample_rate
+    amplitude = np.sqrt(10.0 ** (scenario.cn0 / 10.0) * noise_power / fs)
+    chips = generate_ca_code(scenario.prn).chips.astype(np.float64)
+    i = np.arange(n)
+
+    def chip_at(j):
+        return chips[np.floor(np.mod(scenario.code_phase0 + CHIP_RATE / fs * j,
+                                     1023.0)).astype(np.int64)]
+
+    taps = sig.filter_taps
+    centre = (len(taps) - 1) // 2
+    filt = sum(tap * chip_at(i + centre - t) for t, tap in enumerate(taps))
+
+    # nav bits are prefix-stable, so any length covering the stream will do
+    bits = ss.synthesize_nav_bits(scenario.prn, scenario.nav_seed, n / fs + 1.0)
+    phase_chips = scenario.code_phase0 + CHIP_RATE / fs * i
+    b = bits[np.floor(phase_chips / (CHIP_RATE / 50.0)).astype(np.int64)].astype(float)
+    g = sig.gain_asymmetry
+    norm = np.sqrt((g * g + 1.0) / 2.0)
+    amp = np.where(b > 0, amplitude * g / norm, amplitude / norm)
+
+    epoch_len = int(round(fs * 1e-3))
+    epoch = i // epoch_len
+    walk = np.zeros(-(-n // epoch_len))
+    if sig.phase_noise_std > 0:
+        rng = np.random.default_rng([int(phase_seed) & 0xFFFFFFFF, scenario.prn, 0x51])
+        walk = np.cumsum(rng.normal(0.0, sig.phase_noise_std, len(walk)))
+    theta = 2 * np.pi * scenario.doppler * i / fs + scenario.carrier_phase0 + walk[epoch]
+    return amp * b * filt * np.exp(1j * theta)
 
 
 def eer_count_oracle(genuine, spoofed):

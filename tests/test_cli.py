@@ -72,6 +72,18 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="duplicate"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("rate", [1e6, 2.0481e6])
+    def test_bad_sample_rate_exits_before_output(self, tmp_path, rate):
+        # 1 MHz is below 2 samples/chip; 2.0481 MHz gives 2048.1 samples per ms
+        doc = tiny_scenario(duration=0.1)
+        doc["sample_rate"] = rate
+        scen = write_scenario(tmp_path / "rate.json", doc)
+        with pytest.raises(ScenarioError, match="sample_rate"):
+            load_scenario(scen)
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", scen, "--out", str(out)]) == EXIT_USAGE
+        assert not (out / "capture.iq").exists()
+
     def test_duplicate_prn_exits_before_output(self, tmp_path):
         doc = tiny_scenario()
         doc["satellites"].append(dict(doc["satellites"][0]))
@@ -174,6 +186,17 @@ class TestTrainEvalDetect:
         assert code == EXIT_ALARM
         decisions = cio.read_decisions_csv(tmp_path / "det_ep" / "decisions.csv")
         assert decisions and all(d.prn == 7 for d in decisions)
+
+    @pytest.mark.parametrize("command", ["track", "detect"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, command, jobs):
+        argv = [command, "--capture", str(tmp_path / "c.iq"), "--prn", "7",
+                "--jobs", jobs, "--out", str(tmp_path)]
+        if command == "detect":
+            argv += ["--profile", str(tmp_path / "p.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["simulate", "--scenario", str(tmp_path / "nope.json"),

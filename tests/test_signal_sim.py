@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gnssfp import signal_sim as ss
-from helpers import despread_cn0_oracle
+from helpers import despread_cn0_oracle, synth_satellite_oracle
 
 FS = ss.DEFAULT_SAMPLE_RATE
 PREAMBLE_PM1 = np.array([-1, 1, 1, 1, -1, 1, -1, -1])
@@ -94,6 +94,47 @@ class TestSynthesizeGenuine:
             ss.SatelliteScenario(prn=2, doppler=20e3)
         with pytest.raises(ValueError):
             ss.SatelliteScenario(prn=0)
+
+
+class TestSynthesisOracle:
+    # Chosen beforehand: 1e-6 of the composite amplitude, a few float32 ulps.
+    REL_TOL = 1e-6
+    SATS = (
+        ss.SatelliteScenario(prn=3, doppler=4999.0, code_phase0=0.0, carrier_phase0=0.3,
+                             cn0=48.0, nav_seed=1,
+                             signature=ss.HardwareSignature(1.15, (0.2, 0.6, 0.2), 0.02)),
+        ss.SatelliteScenario(prn=11, doppler=-5000.0, code_phase0=511.5,
+                             carrier_phase0=-1.0, cn0=42.0, nav_seed=2,
+                             signature=ss.HardwareSignature(
+                                 0.85, (0.05, 0.15, 0.6, 0.15, 0.05), 0.01)),
+        ss.SatelliteScenario(prn=24, doppler=1234.5, code_phase0=1022.9, cn0=55.0,
+                             nav_seed=3, signature=ss.HardwareSignature(1.0, (0.3, 0.7))),
+    )
+
+    @pytest.mark.parametrize("duration", [0.2503, 1.0007])  # partial last epoch
+    @pytest.mark.parametrize("group", [(0,), (1,), (2,), (0, 1, 2)])
+    def test_matches_per_sample_formula(self, group, duration):
+        sats = [self.SATS[i] for i in group]
+        iq = ss.synthesize_genuine(sats, FS, duration, noise_seed=7, add_noise=False)
+        n = len(iq.samples)
+        assert n % 2048
+        ref = sum(synth_satellite_oracle(s, FS, n, phase_seed=7) for s in sats)
+        amplitude = sum(np.sqrt(10 ** (s.cn0 / 10) / FS) for s in sats)
+        assert np.max(np.abs(iq.samples - ref)) <= self.REL_TOL * amplitude
+
+    def test_noise_is_the_documented_draw(self):
+        # longer than one 2**20-sample noise block, so the block seam is covered
+        iq = ss.synthesize_genuine([], FS, 0.6, noise_seed=13, noise_power=0.7)
+        n = len(iq.samples)
+        draw = np.random.default_rng([13, 0xA3]).standard_normal(2 * n) * np.sqrt(0.35)
+        expected = (draw[0::2] + 1j * draw[1::2]).astype(np.complex64)
+        assert n > 1 << 20
+        assert np.array_equal(iq.samples.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("rate", [1e6, 2.0481e6])
+    def test_rate_without_whole_samples_per_ms_rejected(self, rate):
+        with pytest.raises(ValueError, match="sample_rate"):
+            ss.synthesize_genuine([ss.SatelliteScenario(prn=2)], rate, 0.01)
 
 
 class TestMultipath:
