@@ -7,13 +7,10 @@ from .signal_sim import (AttackConfig, HardwareSignature, IqStream,
                          SatelliteScenario, apply_multipath, spoof_overlay,
                          synthesize_genuine, synthesize_nav_bits)
 from .receiver_core import (AcquisitionResult, CorrelatorEpoch, TrackingConfig,
-                            TrackResult, acquire, carrier_lock_metric,
-                            estimate_cn0, lock_tests, track_channel)
-from .fingerprint_features import (FeatureTable, FeatureVector,
-                                   FeatureWindowConfig, extract_features,
-                                   feature_template)
-from .mvn_model import (MvnModel, avg_score, density, fit, log_density,
-                        max_density)
+                            TrackResult, acquire, lock_tests, track_channel)
+from .fingerprint_features import (FeatureVector, FeatureWindowConfig,
+                                   extract_features)
+from .mvn_model import MvnModel, density, fit, from_moments, log_density
 from .spoof_detector import (Decision, DetectorProfile, EvalReport,
                              SpoofTimingReport, classify, detect_stream,
                              eer_threshold, evaluate, kfold_xval, prn_sets,

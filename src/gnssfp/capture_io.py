@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fingerprint_features import FeatureVector, FeatureWindowConfig
-from .mvn_model import MvnModel
+from .mvn_model import from_moments
 from .receiver_core import CorrelatorEpoch
 from .signal_sim import IqStream
 from .spoof_detector import Decision, DetectorProfile
@@ -146,15 +146,16 @@ def read_iq(path, meta: CaptureMeta | None = None, decimate: int = 1,
 
     raw = np.fromfile(str(path), dtype=meta.dtype, count=2 * n_read,
                       offset=offset_samples * block)
-    i_part = raw[0::2].astype(np.float64)
-    q_part = raw[1::2].astype(np.float64)
+    i_part, q_part = raw[0::2 * decimate], raw[1::2 * decimate]
     if meta.iq_swap:
         i_part, q_part = q_part, i_part
+    # Decoded straight into complex64: int8/int16 values and their scaling
+    # by a power of two are exact in float32.
+    samples = np.empty(len(i_part), dtype=np.complex64)
+    samples.real = i_part
+    samples.imag = q_part
     if meta.sample_format != "float32":
-        full = float(1 << (8 * width - 1))
-        i_part /= full
-        q_part /= full
-    samples = (i_part + 1j * q_part)[::decimate].astype(np.complex64)
+        samples /= np.float32(1 << (8 * width - 1))
     if labels is not None:
         labels = np.asarray(labels, dtype=np.uint8)[offset_samples:offset_samples + n_read:decimate]
     return IqStream(samples, meta.sample_rate / decimate,
@@ -248,14 +249,7 @@ def save_model(profile: DetectorProfile, path,
         f.write("\n")
 
 
-def _model_from_doc(doc: dict) -> MvnModel:
-    k = int(doc["k"])
-    mu = np.asarray(doc["mu"], dtype=np.float64)
-    sigma = np.asarray(doc["sigma"], dtype=np.float64).reshape(k, k)
-    chol = np.linalg.cholesky(sigma)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return MvnModel(mu=mu, sigma=sigma, k=k, sigma_inv=np.linalg.inv(sigma),
-                    log_norm_const=float(-0.5 * (k * np.log(2 * np.pi) + logdet)))
+_MODEL_FIELDS = ("k", "mu", "sigma", "log_threshold", "n_avg")
 
 
 def load_model(path) -> DetectorProfile:
@@ -267,7 +261,12 @@ def load_model(path) -> DetectorProfile:
         raise UnsupportedVersionError(
             f"{path}: profile version {doc.get('version')} not supported "
             f"(expected {MODEL_VERSION})")
-    return DetectorProfile(model=_model_from_doc(doc),
+    for key in _MODEL_FIELDS:
+        if key not in doc:
+            raise ValueError(f"{path}: profile missing required field '{key}'")
+    k = int(doc["k"])
+    sigma = np.asarray(doc["sigma"], dtype=np.float64).reshape(k, k)
+    return DetectorProfile(model=from_moments(doc["mu"], sigma),
                            log_threshold=float(doc["log_threshold"]),
                            n_avg=int(doc["n_avg"]),
                            trained_on=tuple(doc.get("trained_on", ())),
@@ -288,36 +287,43 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _write_csv(path, header, rows) -> None:
+    with open(str(path), "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _read_csv(path, header, kind):
+    """Yield the rows of a CSV as dicts after checking its header."""
+    with open(str(path), newline="", encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        if reader.fieldnames != header:
+            raise ValueError(f"{path}: unexpected {kind} CSV header {reader.fieldnames}")
+        yield from reader
+
+
 EPOCH_CSV_HEADER = ["t", "e_re", "e_im", "p_re", "p_im", "l_re", "l_im",
                     "cn0_est", "clt_est", "code_phase", "doppler"]
 
 
 def write_epochs_csv(epochs, path) -> None:
-    with open(str(path), "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(EPOCH_CSV_HEADER)
-        for ep in epochs:
-            w.writerow([_fmt(ep.t), _fmt(ep.e.real), _fmt(ep.e.imag),
-                        _fmt(ep.p.real), _fmt(ep.p.imag), _fmt(ep.l.real),
-                        _fmt(ep.l.imag), _fmt(ep.cn0_est), _fmt(ep.clt_est),
-                        _fmt(ep.code_phase), _fmt(ep.doppler)])
+    _write_csv(path, EPOCH_CSV_HEADER,
+               ([_fmt(ep.t), _fmt(ep.e.real), _fmt(ep.e.imag), _fmt(ep.p.real),
+                 _fmt(ep.p.imag), _fmt(ep.l.real), _fmt(ep.l.imag), _fmt(ep.cn0_est),
+                 _fmt(ep.clt_est), _fmt(ep.code_phase), _fmt(ep.doppler)]
+                for ep in epochs))
 
 
 def read_epochs_csv(path) -> list:
-    out = []
-    with open(str(path), newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != EPOCH_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected epoch CSV header {reader.fieldnames}")
-        for row in reader:
-            out.append(CorrelatorEpoch(
+    return [CorrelatorEpoch(
                 t=float(row["t"]),
                 e=complex(float(row["e_re"]), float(row["e_im"])),
                 p=complex(float(row["p_re"]), float(row["p_im"])),
                 l=complex(float(row["l_re"]), float(row["l_im"])),
                 cn0_est=float(row["cn0_est"]), clt_est=float(row["clt_est"]),
-                code_phase=float(row["code_phase"]), doppler=float(row["doppler"])))
-    return out
+                code_phase=float(row["code_phase"]), doppler=float(row["doppler"]))
+            for row in _read_csv(path, EPOCH_CSV_HEADER, "epoch")]
 
 
 FEATURE_CSV_HEADER = ["t", "prn", "e_high", "e_low", "p_high", "p_low",
@@ -325,53 +331,34 @@ FEATURE_CSV_HEADER = ["t", "prn", "e_high", "e_low", "p_high", "p_low",
 
 
 def write_features_csv(features, path) -> None:
-    with open(str(path), "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(FEATURE_CSV_HEADER)
-        for fv in features:
-            w.writerow([_fmt(fv.t), fv.prn, _fmt(fv.e_high), _fmt(fv.e_low),
-                        _fmt(fv.p_high), _fmt(fv.p_low), _fmt(fv.l_high),
-                        _fmt(fv.l_low)])
+    _write_csv(path, FEATURE_CSV_HEADER,
+               ([_fmt(fv.t), fv.prn, _fmt(fv.e_high), _fmt(fv.e_low), _fmt(fv.p_high),
+                 _fmt(fv.p_low), _fmt(fv.l_high), _fmt(fv.l_low)] for fv in features))
 
 
 def read_features_csv(path) -> list:
-    out = []
-    with open(str(path), newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != FEATURE_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected feature CSV header {reader.fieldnames}")
-        for row in reader:
-            out.append(FeatureVector(
+    return [FeatureVector(
                 t=float(row["t"]), prn=int(row["prn"]),
                 e_high=float(row["e_high"]), e_low=float(row["e_low"]),
                 p_high=float(row["p_high"]), p_low=float(row["p_low"]),
-                l_high=float(row["l_high"]), l_low=float(row["l_low"])))
-    return out
+                l_high=float(row["l_high"]), l_low=float(row["l_low"]))
+            for row in _read_csv(path, FEATURE_CSV_HEADER, "feature")]
 
 
 DECISION_CSV_HEADER = ["t_start", "t_end", "prn", "score_log", "decision", "label"]
 
 
 def write_decisions_csv(decisions, path) -> None:
-    with open(str(path), "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(DECISION_CSV_HEADER)
-        for d in decisions:
-            w.writerow([_fmt(d.t_start), _fmt(d.t_end), d.prn, _fmt(d.log_score),
-                        d.decision, d.label])
+    _write_csv(path, DECISION_CSV_HEADER,
+               ([_fmt(d.t_start), _fmt(d.t_end), d.prn, _fmt(d.log_score), d.decision,
+                 d.label] for d in decisions))
 
 
 def read_decisions_csv(path) -> list:
-    out = []
-    with open(str(path), newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != DECISION_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected decision CSV header {reader.fieldnames}")
-        for row in reader:
-            out.append(Decision(t_start=float(row["t_start"]), t_end=float(row["t_end"]),
-                                prn=int(row["prn"]), log_score=float(row["score_log"]),
-                                decision=row["decision"], label=row["label"]))
-    return out
+    return [Decision(t_start=float(row["t_start"]), t_end=float(row["t_end"]),
+                     prn=int(row["prn"]), log_score=float(row["score_log"]),
+                     decision=row["decision"], label=row["label"])
+            for row in _read_csv(path, DECISION_CSV_HEADER, "decision")]
 
 
 REPORT_CSV_HEADER = ["dataset", "n_avg", "fpr", "fnr", "eer", "threshold_log",
@@ -381,10 +368,6 @@ REPORT_CSV_HEADER = ["dataset", "n_avg", "fpr", "fnr", "eer", "threshold_log",
 def write_reports_csv(reports, path, names=None) -> None:
     if names is None:
         names = [str(i) for i in range(len(reports))]
-    with open(str(path), "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(REPORT_CSV_HEADER)
-        for name, r in zip(names, reports):
-            tp, fp, tn, fn = r.counts
-            w.writerow([name, r.n_avg, _fmt(r.fpr), _fmt(r.fnr), _fmt(r.eer),
-                        _fmt(r.threshold), tp, fp, tn, fn])
+    _write_csv(path, REPORT_CSV_HEADER,
+               ([name, r.n_avg, _fmt(r.fpr), _fmt(r.fnr), _fmt(r.eer), _fmt(r.threshold),
+                 *r.counts] for name, r in zip(names, reports)))

@@ -25,7 +25,7 @@ from .capture_io import (CaptureMeta, DatasetManifest, FormatError,
                          load_model, load_window_config)
 from .fingerprint_features import FeatureWindowConfig, extract_features
 from .receiver_core import TrackingConfig, acquire, track_channel
-from .signal_sim import (AttackConfig, HardwareSignature, SatelliteScenario,
+from .signal_sim import (AttackConfig, HardwareSignature, IqStream, SatelliteScenario,
                          apply_multipath, spoof_overlay, synthesize_genuine)
 
 EXIT_OK = 0
@@ -142,6 +142,24 @@ def load_scenario(path: str) -> dict:
     }
 
 
+def build_stream(cfg: dict) -> IqStream:
+    """Synthesize a loaded scenario: genuine signals, then multipath, then the
+    attack on the satellites named in `attack.targets` (all when unnamed)."""
+    stream = synthesize_genuine(cfg["satellites"], cfg["sample_rate"], cfg["duration"],
+                                cfg["noise_seed"], cfg["noise_power"],
+                                add_noise=cfg["add_noise"])
+    if cfg["multipath"]:
+        stream = apply_multipath(stream, cfg["multipath"])
+    if cfg["attack"] is not None:
+        targets = cfg["satellites"]
+        if cfg["attack_targets"]:
+            wanted = set(cfg["attack_targets"])
+            targets = [s for s in targets if s.prn in wanted]
+        stream = spoof_overlay(stream, cfg["attack"], targets,
+                               cfg["noise_seed"], cfg["noise_power"])
+    return stream
+
+
 def _write_run_record(out_dir: str, subcommand: str, config_bytes: bytes | None,
                       extra: dict | None = None) -> None:
     record = {
@@ -161,19 +179,7 @@ def cmd_simulate(args) -> int:
         config_bytes = f.read()
     cfg = load_scenario(args.scenario)
     os.makedirs(args.out, exist_ok=True)
-
-    stream = synthesize_genuine(cfg["satellites"], cfg["sample_rate"], cfg["duration"],
-                                cfg["noise_seed"], cfg["noise_power"],
-                                add_noise=cfg["add_noise"])
-    if cfg["multipath"]:
-        stream = apply_multipath(stream, cfg["multipath"])
-    if cfg["attack"] is not None:
-        targets = cfg["satellites"]
-        if cfg["attack_targets"]:
-            wanted = set(cfg["attack_targets"])
-            targets = [s for s in cfg["satellites"] if s.prn in wanted]
-        stream = spoof_overlay(stream, cfg["attack"], targets,
-                               cfg["noise_seed"], cfg["noise_power"])
+    stream = build_stream(cfg)
 
     capture_path = os.path.join(args.out, "capture.iq")
     meta = CaptureMeta(sample_rate=cfg["sample_rate"], sample_format=args.format,
@@ -203,22 +209,26 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _track_one(stream, prn, trk_cfg, acq_args):
-    result = acquire(stream, prn, **acq_args)
-    if not result.acquired:
-        return prn, None, result
-    return prn, track_channel(stream, result, trk_cfg), result
+def _track_prns(stream: IqStream, args, trk_cfg: TrackingConfig) -> list:
+    """Acquire and track each requested PRN on a thread pool.
+
+    Returns (prn, TrackResult or None when not acquired, AcquisitionResult)
+    in ascending PRN order.
+    """
+    def track_one(prn):
+        acq = acquire(stream, prn, doppler_range=args.doppler_range,
+                      doppler_bin=args.doppler_bin)
+        return prn, track_channel(stream, acq, trk_cfg) if acq.acquired else None, acq
+
+    prns = sorted(set(args.prn))
+    with ThreadPoolExecutor(max_workers=min(args.jobs, len(prns))) as pool:
+        return list(pool.map(track_one, prns))
 
 
 def cmd_track(args) -> int:
     stream = capture_io.read_iq(args.capture)
-    trk_cfg = TrackingConfig()
-    acq_args = {"doppler_range": args.doppler_range, "doppler_bin": args.doppler_bin}
     os.makedirs(args.out, exist_ok=True)
-
-    prns = sorted(set(args.prn))
-    with ThreadPoolExecutor(max_workers=min(args.jobs, len(prns))) as pool:
-        results = list(pool.map(lambda p: _track_one(stream, p, trk_cfg, acq_args), prns))
+    results = _track_prns(stream, args, TrackingConfig())
 
     any_tracked = False
     for prn, track, acq_result in results:
@@ -231,23 +241,32 @@ def cmd_track(args) -> int:
         print(f"PRN {prn:2d}: {len(track.epochs)} epochs, {track.status}, "
               f"doppler {acq_result.doppler:+.1f} Hz -> {path}")
         any_tracked = True
-    _write_run_record(args.out, "track", None, {"capture": args.capture, "prns": prns})
+    _write_run_record(args.out, "track", None,
+                      {"capture": args.capture, "prns": [prn for prn, _, _ in results]})
     return EXIT_OK if any_tracked else EXIT_DATA
 
 
 _EPOCH_FILE_RE = re.compile(r"prn(\d+)")
 
 
+def _epoch_file_prn(path: str) -> int:
+    """PRN named by an epoch CSV's file name (`epochs_prn07.csv`), else 0."""
+    match = _EPOCH_FILE_RE.search(os.path.basename(path))
+    return int(match.group(1)) if match else 0
+
+
+def _window_config(args) -> FeatureWindowConfig:
+    return FeatureWindowConfig(window_len=args.window_len, min_pos=args.min_pos,
+                               min_neg=args.min_neg)
+
+
 def cmd_extract(args) -> int:
-    window = FeatureWindowConfig(window_len=args.window_len, min_pos=args.min_pos,
-                                 min_neg=args.min_neg)
+    window = _window_config(args)
     trk_cfg = TrackingConfig()
     all_features = []
     for path in args.epochs:
-        match = _EPOCH_FILE_RE.search(os.path.basename(path))
-        prn = int(match.group(1)) if match else 0
         epochs = capture_io.read_epochs_csv(path)
-        feats = extract_features(epochs, window, trk_cfg, prn=prn)
+        feats = extract_features(epochs, window, trk_cfg, prn=_epoch_file_prn(path))
         print(f"{path}: {len(epochs)} epochs -> {len(feats)} sample points")
         all_features.extend(feats)
     capture_io.write_features_csv(all_features, args.out)
@@ -270,9 +289,7 @@ def cmd_train(args) -> int:
     profile = spoof_detector.train(genuine, spoofed, holdout_fraction=args.holdout,
                                    seed=args.seed, n_avg=args.n_avg,
                                    trained_on=tuple(args.genuine + (args.spoofed or [])))
-    window = FeatureWindowConfig(window_len=args.window_len, min_pos=args.min_pos,
-                                 min_neg=args.min_neg)
-    capture_io.save_model(profile, args.out, window=window,
+    capture_io.save_model(profile, args.out, window=_window_config(args),
                           provenance={"genuine": args.genuine,
                                       "spoofed": args.spoofed or []})
     print(f"trained on {genuine.shape[0]} genuine"
@@ -282,11 +299,15 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _print_report_table(names, reports) -> None:
+def _report(names, reports, out) -> None:
+    """Print the report table and, when `out` is set, write the report CSV."""
     print(f"{'dataset':<24} {'n':>6} {'FPR':>8} {'FNR':>8} {'EER':>8} {'threshold':>12}")
     for name, r in zip(names, reports):
         print(f"{name:<24} {r.n_avg:>6d} {r.fpr:>8.4f} {r.fnr:>8.4f} "
               f"{r.eer:>8.4f} {r.threshold:>12.3f}")
+    if out:
+        capture_io.write_reports_csv(reports, out, names)
+        print(f"wrote {out}")
 
 
 def cmd_eval(args) -> int:
@@ -297,10 +318,7 @@ def cmd_eval(args) -> int:
     for n in args.n:
         reports.append(spoof_detector.evaluate(genuine, spoofed, profile, n_avg=n))
         names.append("eval")
-    _print_report_table(names, reports)
-    if args.out:
-        capture_io.write_reports_csv(reports, args.out, names)
-        print(f"wrote {args.out}")
+    _report(names, reports, args.out)
     return EXIT_OK
 
 
@@ -315,10 +333,7 @@ def cmd_xval(args) -> int:
         names.append(os.path.splitext(os.path.basename(g_path))[0])
     reports = spoof_detector.kfold_xval(datasets, holdout_fraction=args.holdout,
                                         seed=args.seed, n_avg=args.n_avg)
-    _print_report_table(names, reports)
-    if args.out:
-        capture_io.write_reports_csv(reports, args.out, names)
-        print(f"wrote {args.out}")
+    _report(names, reports, args.out)
     return EXIT_OK
 
 
@@ -329,11 +344,8 @@ def cmd_detect(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     if args.epochs:
-        channels = []
-        for path in args.epochs:
-            match = _EPOCH_FILE_RE.search(os.path.basename(path))
-            prn = int(match.group(1)) if match else 0
-            channels.append((prn, capture_io.read_epochs_csv(path), None))
+        channels = [(_epoch_file_prn(path), capture_io.read_epochs_csv(path))
+                    for path in args.epochs]
         label_ivs = []
     else:
         if not args.capture or not args.prn:
@@ -341,18 +353,13 @@ def cmd_detect(args) -> int:
         stream = capture_io.read_iq(args.capture)
         if args.labels:
             stream.labels = capture_io.load_labels(args.labels)
-        prns = sorted(set(args.prn))
-        acq_args = {"doppler_range": args.doppler_range, "doppler_bin": args.doppler_bin}
-        with ThreadPoolExecutor(max_workers=min(args.jobs, len(prns))) as pool:
-            tracked = list(pool.map(lambda p: _track_one(stream, p, trk_cfg, acq_args),
-                                    prns))
-        channels = [(prn, track.epochs if track else None, acq_result)
-                    for prn, track, acq_result in tracked]
+        channels = [(prn, track.epochs if track else None)
+                    for prn, track, _ in _track_prns(stream, args, trk_cfg)]
         label_ivs = signal_sim.label_intervals(stream)
 
     decisions_by_prn = {}
     all_decisions = []
-    for prn, epochs, _ in channels:
+    for prn, epochs in channels:
         if epochs is None:
             print(f"PRN {prn:2d}: not acquired", file=sys.stderr)
             continue
@@ -396,6 +403,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     default_out = os.environ.get("GNSSFP_OUT_DIR", ".")
 
+    # Flags shared by several subcommands.
+    acquisition = argparse.ArgumentParser(add_help=False)
+    acquisition.add_argument("--doppler-range", type=float, default=5000.0)
+    acquisition.add_argument("--doppler-bin", type=float, default=250.0)
+    acquisition.add_argument("--jobs", type=_jobs, default=4)
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--window-len", type=int, default=40)
+    window.add_argument("--min-pos", type=int, default=3)
+    window.add_argument("--min-neg", type=int, default=3)
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--holdout", type=float, default=0.3)
+    training.add_argument("--seed", type=int, default=0)
+    training.add_argument("--n-avg", type=int, default=1)
+
     p = sub.add_parser("simulate", help="synthesize a capture from a scenario file")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", default=default_out)
@@ -403,33 +424,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="float32", choices=["int8", "int16", "float32"])
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("track", help="acquire and track PRNs in a capture")
+    p = sub.add_parser("track", parents=[acquisition],
+                       help="acquire and track PRNs in a capture")
     p.add_argument("--capture", required=True)
     p.add_argument("--prn", type=int, action="append", required=True)
     p.add_argument("--out", default=default_out)
-    p.add_argument("--doppler-range", type=float, default=5000.0)
-    p.add_argument("--doppler-bin", type=float, default=250.0)
-    p.add_argument("--jobs", type=_jobs, default=4)
     p.set_defaults(func=cmd_track)
 
-    p = sub.add_parser("extract", help="extract fingerprint features from epoch CSVs")
+    p = sub.add_parser("extract", parents=[window],
+                       help="extract fingerprint features from epoch CSVs")
     p.add_argument("--epochs", nargs="+", required=True)
     p.add_argument("--out", required=True, help="output feature CSV")
-    p.add_argument("--window-len", type=int, default=40)
-    p.add_argument("--min-pos", type=int, default=3)
-    p.add_argument("--min-neg", type=int, default=3)
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("train", help="fit the genuine model and EER threshold")
+    p = sub.add_parser("train", parents=[training, window],
+                       help="fit the genuine model and EER threshold")
     p.add_argument("--genuine", nargs="+", required=True)
     p.add_argument("--spoofed", nargs="*", default=None)
     p.add_argument("--out", required=True, help="output profile JSON")
-    p.add_argument("--holdout", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-avg", type=int, default=1)
-    p.add_argument("--window-len", type=int, default=40)
-    p.add_argument("--min-pos", type=int, default=3)
-    p.add_argument("--min-neg", type=int, default=3)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="apply a profile to labeled feature sets")
@@ -440,16 +452,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="optional report CSV")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("xval", help="leave-one-dataset-out cross-validation")
+    p = sub.add_parser("xval", parents=[training],
+                       help="leave-one-dataset-out cross-validation")
     p.add_argument("--dataset", action="append", required=True,
                    metavar="GENUINE.csv:SPOOFED.csv")
-    p.add_argument("--holdout", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-avg", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_xval)
 
-    p = sub.add_parser("detect", help="run streaming detection over a capture")
+    p = sub.add_parser("detect", parents=[acquisition],
+                       help="run streaming detection over a capture")
     p.add_argument("--capture", default=None)
     p.add_argument("--profile", required=True)
     p.add_argument("--prn", type=int, action="append", default=None)
@@ -457,9 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="detect from already-tracked epoch CSVs instead of a capture")
     p.add_argument("--labels", default=None, help="ground-truth labels .npy")
     p.add_argument("--out", default=default_out)
-    p.add_argument("--doppler-range", type=float, default=5000.0)
-    p.add_argument("--doppler-bin", type=float, default=250.0)
-    p.add_argument("--jobs", type=_jobs, default=4)
     p.set_defaults(func=cmd_detect)
     return parser
 

@@ -20,9 +20,6 @@ import numpy as np
 
 from .receiver_core import LOCK_PASS, TrackingConfig, lock_tests
 
-FEATURE_DIM = 6
-FEATURE_NAMES = ("e_high", "e_low", "p_high", "p_low", "l_high", "l_low")
-
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -101,52 +98,3 @@ def extract_features(epochs, cfg: FeatureWindowConfig = FeatureWindowConfig(),
                                  p_high=p_high, p_low=p_low,
                                  l_high=l_high, l_low=l_low))
     return out
-
-
-@dataclass
-class FeatureTable:
-    """Pooled feature matrix with per-row provenance (dataset id, prn)."""
-
-    matrix: np.ndarray  # (n, 6)
-    t: np.ndarray  # (n,)
-    prn: np.ndarray  # (n,) int
-    dataset: np.ndarray  # (n,) str
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
-    def select(self, dataset=None, prn=None) -> "FeatureTable":
-        mask = np.ones(len(self), dtype=bool)
-        if dataset is not None:
-            mask &= self.dataset == dataset
-        if prn is not None:
-            mask &= self.prn == prn
-        return FeatureTable(self.matrix[mask], self.t[mask],
-                            self.prn[mask], self.dataset[mask])
-
-
-def feature_template(datasets, ids=None) -> FeatureTable:
-    """Pool feature sequences into one matrix, tagging rows by origin.
-
-    `datasets` is a list of FeatureVector sequences; `ids` optionally names
-    each (defaults to the list index as a string).
-    """
-    if ids is None:
-        ids = [str(i) for i in range(len(datasets))]
-    if len(ids) != len(datasets):
-        raise ValueError("ids must match datasets length")
-    rows, ts, prns, tags = [], [], [], []
-    for tag, seq in zip(ids, datasets):
-        for fv in seq:
-            arr = fv.as_array()
-            if arr.shape != (FEATURE_DIM,):
-                raise ValueError(f"feature vectors must be {FEATURE_DIM}-dimensional")
-            rows.append(arr)
-            ts.append(fv.t)
-            prns.append(fv.prn)
-            tags.append(tag)
-    if not rows:
-        return FeatureTable(np.empty((0, FEATURE_DIM)), np.empty(0),
-                            np.empty(0, dtype=int), np.empty(0, dtype="U1"))
-    return FeatureTable(np.asarray(rows), np.asarray(ts),
-                        np.asarray(prns, dtype=int), np.asarray(tags))

@@ -53,13 +53,19 @@ def fit(samples, regularization_eps: float = 1e-9) -> MvnModel:
     if scale <= 0.0:
         scale = 1.0
     sigma = sigma + regularization_eps * scale * np.eye(k)
+    return from_moments(mu, sigma)
 
-    # Cholesky also certifies positive definiteness post-regularization.
+
+def from_moments(mu, sigma) -> MvnModel:
+    """Build an MvnModel from a mean vector and a k-by-k covariance."""
+    mu = np.asarray(mu, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    k = mu.shape[0]
+    # Cholesky also certifies positive definiteness.
     chol = np.linalg.cholesky(sigma)
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    sigma_inv = np.linalg.inv(sigma)
     log_norm_const = -0.5 * (k * np.log(2.0 * np.pi) + logdet)
-    return MvnModel(mu=mu, sigma=sigma, k=k, sigma_inv=sigma_inv,
+    return MvnModel(mu=mu, sigma=sigma, k=k, sigma_inv=np.linalg.inv(sigma),
                     log_norm_const=float(log_norm_const))
 
 
@@ -84,35 +90,6 @@ def log_density(x, model: MvnModel):
 def density(x, model: MvnModel):
     """MVN density at x; underflows to 0.0 below ~1e-308 (use log_density)."""
     return np.exp(log_density(x, model))
-
-
-def max_density(model: MvnModel) -> float:
-    """Largest achievable density, attained at x = mu."""
-    return float(np.exp(model.log_norm_const))
-
-
-def avg_score(xs, model: MvnModel, average_features: bool = False) -> float:
-    """Average MVN score of several sample points.
-
-    Default is the arithmetic mean of the per-point densities (computed via
-    logsumexp, then exponentiated). With average_features=True the points
-    are averaged first and a single density of the mean vector is returned;
-    kept as an experimental toggle, off by default.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    if xs.shape[0] == 0:
-        raise ValueError("avg_score requires at least one sample point")
-    if average_features:
-        return density(xs.mean(axis=0), model)
-    return float(np.exp(log_avg_score(xs, model)))
-
-
-def log_avg_score(xs, model: MvnModel) -> float:
-    """Log of the mean density over sample points (log-sum-exp mean)."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    if xs.shape[0] == 0:
-        raise ValueError("log_avg_score requires at least one sample point")
-    return float(logsumexp(log_density(xs, model)) - np.log(xs.shape[0]))
 
 
 def log_mean_of_scores(log_scores) -> float:

@@ -212,11 +212,8 @@ def track_channel(iq: IqStream, init: AcquisitionResult,
 
     i_arr = np.arange(n_epoch, dtype=np.float64)
 
-    # Sliding lock-detector window, maintained incrementally.
-    win_abs_i = np.zeros(_LOCK_WINDOW)
-    win_sq_i = np.zeros(_LOCK_WINDOW)
-    win_sq_q = np.zeros(_LOCK_WINDOW)
-    win_sign_q = np.zeros(_LOCK_WINDOW)
+    # Ring of the last _LOCK_WINDOW prompts feeding the lock detectors.
+    prompts = np.zeros(_LOCK_WINDOW, dtype=np.complex128)
 
     epochs = []
     status = STATUS_COMPLETED
@@ -266,23 +263,11 @@ def track_channel(iq: IqStream, init: AcquisitionResult,
         code_err_old = code_err
         code_freq = CHIP_RATE + code_nco
 
-        slot = k % _LOCK_WINDOW
-        win_abs_i[slot] = abs(ip)
-        win_sq_i[slot] = ip * ip
-        win_sq_q[slot] = qp * qp
-        win_sign_q[slot] = qp if ip >= 0 else -qp
-
-        if k >= _LOCK_WINDOW - 1:
-            cn0 = _nwpr_cn0(win_abs_i.sum(), win_sign_q.sum(),
-                            win_sq_i.sum() + win_sq_q.sum(), _LOCK_WINDOW, T)
-            pow_sum = win_sq_i.sum() + win_sq_q.sum()
-            clt = ((win_sq_i.sum() - win_sq_q.sum()) / pow_sum) if pow_sum > 0 else 0.0
-        else:
-            cn0 = 0.0
-            clt = 0.0
+        prompts[k % _LOCK_WINDOW] = p
+        cn0, clt = _lock_estimates(prompts, T) if k >= _LOCK_WINDOW - 1 else (0.0, 0.0)
 
         epochs.append(CorrelatorEpoch(t=t_k, e=complex(e), p=complex(p), l=complex(l),
-                                      cn0_est=float(cn0), clt_est=float(clt),
+                                      cn0_est=cn0, clt_est=clt,
                                       code_phase=epoch_code_phase,
                                       doppler=epoch_doppler))
 
@@ -304,45 +289,29 @@ def _nwpr_cn0(sum_abs_i: float, sum_sign_q: float, wide_power: float,
     not need bit synchronization. The ratio saturates when noise vanishes;
     the denominator clamp bounds the reported ceiling.
     """
-    if wide_power <= 0.0:
-        return 0.0
     narrow = sum_abs_i * sum_abs_i + sum_sign_q * sum_sign_q
     np_ratio = narrow / wide_power
     snr = max(np_ratio - 1.0, 1e-12) / max(m - np_ratio, 1e-9)
     return 10.0 * np.log10(snr / integration_time)
 
 
-def estimate_cn0(prompt_history, integration_time: float = 1e-3):
-    """NWPR C/N0 estimate (dB-Hz) over a window of prompt correlator outputs.
+def _lock_estimates(prompts: np.ndarray, integration_time: float) -> tuple[float, float]:
+    """NWPR C/N0 (dB-Hz) and cos(2*dphi) estimates over a window of prompts.
 
-    Returns None when fewer than 20 epochs of history are available or the
-    window carries no power.
+    The carrier-lock estimate is (sum I^2 - sum Q^2) / (sum I^2 + sum Q^2).
+    A window carrying no power reports (0.0, 0.0).
     """
-    prompts = np.asarray(prompt_history, dtype=np.complex128)
-    if prompts.size < _LOCK_WINDOW:
-        return None
+    # ndarray.sum, not np.sum: this runs once per epoch and np.sum's
+    # dispatch cost is comparable to summing 20 values.
     ip, qp = prompts.real, prompts.imag
-    wide = float(np.sum(ip * ip + qp * qp))
+    sq_i = (ip * ip).sum()
+    sq_q = (qp * qp).sum()
+    wide = sq_i + sq_q
     if wide <= 0.0:
-        return None
-    sum_abs_i = float(np.sum(np.abs(ip)))
-    sum_sign_q = float(np.sum(np.where(ip >= 0, qp, -qp)))
-    return _nwpr_cn0(sum_abs_i, sum_sign_q, wide, prompts.size, integration_time)
-
-
-def carrier_lock_metric(prompt_history):
-    """Estimate of cos(2*dphi) over a window: (sum I^2 - sum Q^2) / (sum I^2 + sum Q^2).
-
-    Returns None for fewer than 20 epochs or an all-zero window.
-    """
-    prompts = np.asarray(prompt_history, dtype=np.complex128)
-    if prompts.size < _LOCK_WINDOW:
-        return None
-    si = float(np.sum(prompts.real ** 2))
-    sq = float(np.sum(prompts.imag ** 2))
-    if si + sq <= 0.0:
-        return None
-    return (si - sq) / (si + sq)
+        return 0.0, 0.0
+    cn0 = _nwpr_cn0(np.abs(ip).sum(), np.where(ip >= 0, qp, -qp).sum(), wide,
+                    prompts.size, integration_time)
+    return float(cn0), float((sq_i - sq_q) / wide)
 
 
 def lock_tests(epoch: CorrelatorEpoch, cfg: TrackingConfig = TrackingConfig()) -> str:

@@ -205,7 +205,8 @@ def evaluate(genuine_scores, spoofed_scores, profile: DetectorProfile,
     """Apply the trained threshold to scored sample points and count errors.
 
     Scores are grouped into disjoint n_avg blocks (leftovers dropped) and
-    each block classified by its mean density.
+    each block classified by its mean density. The report's `eer` is the
+    profile's training EER, not an error rate of these scores.
     """
     n = profile.n_avg if n_avg is None else n_avg
     g = block_log_scores(genuine_scores, n)

@@ -10,6 +10,7 @@ import numpy as np
 from gnssfp import fingerprint_features as ff
 from gnssfp import receiver_core as rc
 from gnssfp import signal_sim as ss
+from gnssfp.cli import build_stream
 from gnssfp.prn_codes import CHIP_RATE, generate_ca_code
 from gnssfp.spoof_detector import DECISION_AUTHENTIC
 
@@ -154,16 +155,11 @@ def timing_scan_oracle(decisions_by_prn, label_intervals, sets):
 
 
 def scenario_features(cfg):
-    """Run a loaded scenario through synthesis -> acquire -> track -> extract.
+    """Run a loaded scenario through build_stream -> acquire -> track -> extract.
 
     Returns the pooled (n, 6) feature matrix over all satellites.
     """
-    stream = ss.synthesize_genuine(cfg["satellites"], cfg["sample_rate"],
-                                   cfg["duration"], cfg["noise_seed"],
-                                   cfg["noise_power"], add_noise=cfg["add_noise"])
-    if cfg["attack"] is not None:
-        stream = ss.spoof_overlay(stream, cfg["attack"], cfg["satellites"],
-                                  cfg["noise_seed"], cfg["noise_power"])
+    stream = build_stream(cfg)
     rows = []
     for scen in cfg["satellites"]:
         acq = rc.acquire(stream, scen.prn)

@@ -193,6 +193,15 @@ class TestModelFile:
         with pytest.raises(cio.UnsupportedVersionError):
             cio.load_model(tmp_path / "p.json")
 
+    @pytest.mark.parametrize("field", ["k", "mu", "sigma", "log_threshold", "n_avg"])
+    def test_missing_field_names_it(self, tmp_path, field):
+        cio.save_model(self._profile(), tmp_path / "p.json")
+        doc = json.loads((tmp_path / "p.json").read_text())
+        del doc[field]
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"missing required field '{field}'"):
+            cio.load_model(tmp_path / "p.json")
+
     def test_loaded_model_scores_identically(self, tmp_path):
         profile = self._profile()
         cio.save_model(profile, tmp_path / "p.json")

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from gnssfp import capture_io as cio
-from gnssfp.cli import (EXIT_ALARM, EXIT_OK, EXIT_USAGE, ScenarioError,
-                        load_scenario, main)
+from gnssfp import signal_sim as ss
+from gnssfp.cli import (EXIT_ALARM, EXIT_DATA, EXIT_OK, EXIT_USAGE, ScenarioError,
+                        build_parser, build_stream, load_scenario, main)
 
 SIG_GEN = {"gain_asymmetry": 1.12, "filter_taps": [0.18, 0.64, 0.18],
            "phase_noise_std": 0.004}
@@ -94,6 +95,35 @@ class TestScenarioLoading:
 
 
 class TestSimulate:
+    def test_capture_is_the_shared_stream(self, tmp_path):
+        doc = tiny_scenario(attack=True, duration=0.3)
+        doc["attack"].update(takeover_time=0.1, targets=[7, 12])
+        doc["satellites"] += [
+            {"prn": 3, "doppler": -1400.0, "code_phase0": 800.25, "cn0": 45.0,
+             "nav_seed": 4, "signature": SIG_GEN},
+            {"prn": 12, "doppler": 2100.0, "code_phase0": 33.0, "cn0": 46.0,
+             "nav_seed": 5, "signature": SIG_GEN}]
+        doc["multipath"] = [[0.0, 1.0, 0.0], [2e-6, 0.3, -0.1]]
+        scen = write_scenario(tmp_path / "mix.json", doc)
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", scen, "--out", str(out),
+                     "--format", "float32"]) == EXIT_OK
+
+        cfg = load_scenario(scen)
+        stream = build_stream(cfg)
+        explicit = ss.spoof_overlay(
+            ss.apply_multipath(
+                ss.synthesize_genuine(cfg["satellites"], cfg["sample_rate"], cfg["duration"],
+                                      cfg["noise_seed"], cfg["noise_power"]),
+                [(0.0, 1.0 + 0.0j), (2e-6, 0.3 - 0.1j)]),
+            cfg["attack"], [s for s in cfg["satellites"] if s.prn in (7, 12)],
+            cfg["noise_seed"], cfg["noise_power"])
+        capture = cio.read_iq(out / "capture.iq")
+        assert capture.samples.tobytes() == stream.samples.tobytes()
+        assert explicit.samples.tobytes() == stream.samples.tobytes()
+        assert np.array_equal(np.load(out / "labels.npy"), stream.labels)
+        assert cio.load_manifest(out / "manifest.json").multipath == "yes"
+
     def test_outputs_and_manifest(self, pipeline_dir):
         _, paths = pipeline_dir
         out = paths["spoofed"]
@@ -198,6 +228,19 @@ class TestTrainEvalDetect:
             main(argv)
         assert exc.value.code == EXIT_USAGE
 
+    def test_profile_missing_field_is_data_error(self, pipeline_dir, tmp_path, capsys):
+        _, paths = pipeline_dir
+        profile = tmp_path / "profile.json"
+        main(["train", "--genuine", str(paths["genuine"] / "features.csv"),
+              "--out", str(profile)])
+        doc = json.loads(profile.read_text())
+        del doc["sigma"]
+        profile.write_text(json.dumps(doc))
+        code = main(["detect", "--epochs", str(paths["genuine"] / "epochs_prn07.csv"),
+                     "--profile", str(profile), "--out", str(tmp_path / "det")])
+        assert code == EXIT_DATA
+        assert "missing required field 'sigma'" in capsys.readouterr().err
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["simulate", "--scenario", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == EXIT_USAGE
@@ -210,3 +253,46 @@ class TestTrainEvalDetect:
         cio.save_model(spoof_detector.DetectorProfile(model, -10.0), rng_profile)
         assert main(["detect", "--profile", str(rng_profile),
                      "--out", str(tmp_path)]) == EXIT_USAGE
+
+
+# subcommand -> (required flags with a sample value, full parsed namespace)
+CLI_FLAGS = {
+    "simulate": ({"--scenario": "s.json"},
+                 {"scenario": "s.json", "out": ".", "id": None, "format": "float32"}),
+    "track": ({"--capture": "c.iq", "--prn": "7"},
+              {"capture": "c.iq", "prn": [7], "out": ".", "doppler_range": 5000.0,
+               "doppler_bin": 250.0, "jobs": 4}),
+    "extract": ({"--epochs": "e.csv", "--out": "f.csv"},
+                {"epochs": ["e.csv"], "out": "f.csv", "window_len": 40, "min_pos": 3,
+                 "min_neg": 3}),
+    "train": ({"--genuine": "g.csv", "--out": "p.json"},
+              {"genuine": ["g.csv"], "spoofed": None, "out": "p.json", "holdout": 0.3,
+               "seed": 0, "n_avg": 1, "window_len": 40, "min_pos": 3, "min_neg": 3}),
+    "eval": ({"--profile": "p.json", "--genuine": "g.csv", "--spoofed": "s.csv"},
+             {"profile": "p.json", "genuine": ["g.csv"], "spoofed": ["s.csv"], "n": [1],
+              "out": None}),
+    "xval": ({"--dataset": "g.csv:s.csv"},
+             {"dataset": ["g.csv:s.csv"], "holdout": 0.3, "seed": 0, "n_avg": 1,
+              "out": None}),
+    "detect": ({"--profile": "p.json"},
+               {"capture": None, "profile": "p.json", "prn": None, "epochs": None,
+                "labels": None, "out": ".", "doppler_range": 5000.0, "doppler_bin": 250.0,
+                "jobs": 4}),
+}
+
+
+def test_parser_flags_and_defaults(monkeypatch):
+    monkeypatch.delenv("GNSSFP_OUT_DIR", raising=False)
+    parser = build_parser()
+    for command, (required, expected) in CLI_FLAGS.items():
+        argv = [command] + [arg for flag, value in required.items() for arg in (flag, value)]
+        parsed = vars(parser.parse_args(argv))
+        assert parsed.pop("command") == command
+        assert parsed.pop("func").__name__ == f"cmd_{command}"
+        assert parsed == expected, command
+        for flag in required:
+            partial = [arg for other, value in required.items() if other != flag
+                       for arg in (other, value)]
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command] + partial)
+            assert exc.value.code == EXIT_USAGE, (command, flag)

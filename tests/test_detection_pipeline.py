@@ -15,7 +15,7 @@ from gnssfp import fingerprint_features as ff
 from gnssfp import receiver_core as rc
 from gnssfp import signal_sim as ss
 from gnssfp import spoof_detector as sd
-from gnssfp.cli import load_scenario
+from gnssfp.cli import build_stream, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -28,13 +28,7 @@ def takeover_run():
 
     train_features = helpers.scenario_features(train_cfg)
 
-    attack_stream = ss.synthesize_genuine(attack_cfg["satellites"],
-                                          attack_cfg["sample_rate"],
-                                          attack_cfg["duration"],
-                                          attack_cfg["noise_seed"])
-    attack_stream = ss.spoof_overlay(attack_stream, attack_cfg["attack"],
-                                     attack_cfg["satellites"],
-                                     attack_cfg["noise_seed"])
+    attack_stream = build_stream(attack_cfg)
     label_ivs = ss.label_intervals(attack_stream)
 
     # spoofed features for thresholding come from the post-takeover segment
@@ -56,8 +50,7 @@ def takeover_run():
 def test_genuine_stream_yields_no_alarms(takeover_run):
     attack_cfg, window, profile, _, _, train_features = takeover_run
     cfg = load_scenario(str(SCENARIOS / "takeover_genuine.json"))
-    stream = ss.synthesize_genuine(cfg["satellites"], cfg["sample_rate"],
-                                   cfg["duration"], cfg["noise_seed"] + 1000)
+    stream = build_stream({**cfg, "noise_seed": cfg["noise_seed"] + 1000})
     decisions = []
     for scen in cfg["satellites"][:2]:
         acq = rc.acquire(stream, scen.prn)

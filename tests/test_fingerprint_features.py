@@ -125,31 +125,3 @@ class TestAsymmetryObservable:
                                     ff.FeatureWindowConfig(window_len=40), prn=9)
         ratios = [abs(fv.p_high / fv.p_low) for fv in feats]
         assert np.mean(ratios) == pytest.approx(gain, abs=0.002)
-
-
-class TestFeatureTemplate:
-    def _vectors(self, n, prn=1, tag_t0=0.0):
-        return [ff.FeatureVector(t=tag_t0 + i, prn=prn, e_high=1, e_low=-1,
-                                 p_high=2, p_low=-2, l_high=1, l_low=-1)
-                for i in range(n)]
-
-    def test_union_cardinality(self):
-        table = ff.feature_template([self._vectors(10), self._vectors(15)])
-        assert len(table) == 25
-        assert table.matrix.shape == (25, 6)
-
-    def test_empty(self):
-        table = ff.feature_template([])
-        assert len(table) == 0
-        assert table.matrix.shape == (0, 6)
-
-    def test_provenance_tags_enable_splits(self):
-        table = ff.feature_template([self._vectors(4, prn=3), self._vectors(6, prn=8)],
-                                    ids=["day1", "day2"])
-        assert len(table.select(dataset="day1")) == 4
-        assert len(table.select(prn=8)) == 6
-        assert len(table.select(dataset="day2", prn=3)) == 0
-
-    def test_ids_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ff.feature_template([self._vectors(2)], ids=["a", "b"])

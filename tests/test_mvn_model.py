@@ -3,8 +3,8 @@ import pytest
 from scipy import integrate
 
 from gnssfp import mvn_model
-from gnssfp.mvn_model import (avg_score, density, fit, log_density,
-                              log_mean_of_scores, max_density)
+from gnssfp.mvn_model import (density, fit, from_moments, log_density,
+                              log_mean_of_scores)
 
 
 def _model(mu, sigma):
@@ -36,7 +36,7 @@ def test_paper_scale_max_density():
     det = ((2 * np.pi) ** -3 / target) ** 2
     sigma = np.eye(6) * det ** (1 / 6)
     m = _model(np.zeros(6), sigma)
-    assert max_density(m) == pytest.approx(target, rel=1e-9)
+    assert density(m.mu, m) == pytest.approx(target, rel=1e-9)
     assert density(np.zeros(6), m) == pytest.approx(target, rel=1e-9)
 
 
@@ -59,6 +59,21 @@ def test_fit_hand_computed_2d_case():
     assert m.sigma[0, 0] == pytest.approx(1 / 3, rel=1e-8)
     assert m.sigma[1, 1] == pytest.approx(1 / 3, rel=1e-8)
     assert m.sigma[0, 1] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_from_moments_matches_explicit_construction():
+    mu, sigma = [0.5, -0.5], [[2.0, 0.3], [0.3, 1.0]]
+    m, ref = from_moments(mu, sigma), _model(mu, sigma)
+    assert m.k == ref.k == 2
+    np.testing.assert_array_equal(m.mu, ref.mu)
+    np.testing.assert_array_equal(m.sigma_inv, ref.sigma_inv)
+    assert m.log_norm_const == pytest.approx(ref.log_norm_const, rel=1e-15)
+    fitted = fit(np.random.default_rng(3).normal(size=(50, 3)))
+    again = from_moments(fitted.mu, fitted.sigma)
+    np.testing.assert_array_equal(again.sigma_inv, fitted.sigma_inv)
+    assert again.log_norm_const == fitted.log_norm_const
+    with pytest.raises(np.linalg.LinAlgError):
+        from_moments([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
 
 
 def test_fit_recovers_known_distribution():
@@ -141,31 +156,30 @@ def test_density_decreases_along_rays():
 
 def test_max_density_bounds_and_scaling():
     m = _model(np.zeros(6), np.eye(6))
-    assert max_density(m) == pytest.approx((2 * np.pi) ** -3, rel=1e-12)
+    assert density(m.mu, m) == pytest.approx((2 * np.pi) ** -3, rel=1e-12)
     m2 = _model(np.zeros(6), 2 * np.eye(6))
-    assert max_density(m2) / max_density(m) == pytest.approx(2 ** -3, rel=1e-12)
+    assert density(m2.mu, m2) / density(m.mu, m) == pytest.approx(2 ** -3, rel=1e-12)
     rng = np.random.default_rng(1)
     for _ in range(30):
         x = rng.normal(size=6) * 2
-        assert density(x, m) <= max_density(m) + 1e-300
+        assert density(x, m) <= density(m.mu, m) + 1e-300
+
+
+def _avg_score(xs, m):
+    """Mean density of sample points, as the detector averages them."""
+    return float(np.exp(log_mean_of_scores(log_density(np.atleast_2d(xs), m))))
 
 
 def test_avg_score_basic():
     m = _model([0.0], [[1.0]])
     x = np.array([[0.3]])
-    assert avg_score(x, m) == pytest.approx(density([0.3], m), rel=1e-12)
+    assert _avg_score(x, m) == pytest.approx(density([0.3], m), rel=1e-12)
     xs = np.tile([0.3], (5, 1))
-    assert avg_score(xs, m) == pytest.approx(density([0.3], m), rel=1e-12)
-    with pytest.raises(ValueError):
-        avg_score(np.empty((0, 1)), m)
-
-
-def test_avg_score_feature_average_toggle():
-    m = _model([0.0], [[1.0]])
+    assert _avg_score(xs, m) == pytest.approx(density([0.3], m), rel=1e-12)
     xs = np.array([[-1.0], [1.0]])
-    assert avg_score(xs, m, average_features=True) == pytest.approx(
-        density([0.0], m), rel=1e-12)
-    assert avg_score(xs, m) == pytest.approx(density([1.0], m), rel=1e-12)
+    assert _avg_score(xs, m) == pytest.approx(density([1.0], m), rel=1e-12)
+    with pytest.raises(ValueError):
+        _avg_score(np.empty((0, 1)), m)
 
 
 def test_avg_score_reduces_variance():
@@ -173,7 +187,7 @@ def test_avg_score_reduces_variance():
     m = _model([0.0], [[1.0]])
     draws = rng.normal(size=(100, 100, 1))
     single = np.array([density(d[0], m) for d in draws])
-    averaged = np.array([avg_score(d, m) for d in draws])
+    averaged = np.array([_avg_score(d, m) for d in draws])
     assert averaged.std() < single.std()
 
 

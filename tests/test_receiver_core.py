@@ -165,11 +165,12 @@ class TestCn0Estimator:
 
     def test_standalone_interface(self, noisy45):
         _, _, track = noisy45
-        prompts = [e.p for e in track.epochs[1000:1020]]
-        est = rc.estimate_cn0(prompts)
-        assert est is not None and 40.0 < est < 50.0
-        assert rc.estimate_cn0(prompts[:10]) is None
-        assert rc.estimate_cn0(np.zeros(20, complex)) is None
+        prompts = np.array([e.p for e in track.epochs[1000:1020]])
+        est, clt = rc._lock_estimates(prompts, 1e-3)
+        assert 40.0 < est < 50.0
+        # the window ending at epoch 1019 is exactly what the channel reported
+        assert (est, clt) == (track.epochs[1019].cn0_est, track.epochs[1019].clt_est)
+        assert rc._lock_estimates(np.zeros(20, complex), 1e-3) == (0.0, 0.0)
 
     def test_noise_only_below_gamma(self):
         iq = ss.synthesize_genuine([], duration=0.5, noise_seed=44)
@@ -180,21 +181,26 @@ class TestCn0Estimator:
 
 
 class TestCarrierLockMetric:
+    @staticmethod
+    def _clt(prompts):
+        return rc._lock_estimates(prompts, 1e-3)[1]
+
     def test_perfect_lock(self):
         prompts = np.full(20, 100.0 + 0.0j)
-        assert rc.carrier_lock_metric(prompts) == pytest.approx(1.0)
+        assert self._clt(prompts) == pytest.approx(1.0)
 
     def test_quadrature_error(self):
         prompts = np.full(20, 0.0 + 100.0j)
-        assert rc.carrier_lock_metric(prompts) == pytest.approx(-1.0)
+        assert self._clt(prompts) == pytest.approx(-1.0)
 
     def test_45_degree_boundary(self):
         prompts = np.full(20, 100.0 + 100.0j)
-        assert rc.carrier_lock_metric(prompts) == pytest.approx(0.0, abs=1e-12)
+        assert self._clt(prompts) == pytest.approx(0.0, abs=1e-12)
 
     def test_no_estimate_cases(self):
-        assert rc.carrier_lock_metric(np.ones(5, complex)) is None
-        assert rc.carrier_lock_metric(np.zeros(20, complex)) is None
+        # an all-zero window carries no power: both estimates read 0.0, as
+        # track_channel reports during warm-up
+        assert rc._lock_estimates(np.zeros(20, complex), 1e-3) == (0.0, 0.0)
 
 
 class TestLockTests:
