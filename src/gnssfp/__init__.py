@@ -6,8 +6,8 @@ from .prn_codes import CaCode, circular_correlate, generate_ca_code, sample_code
 from .signal_sim import (AttackConfig, HardwareSignature, IqStream,
                          SatelliteScenario, apply_multipath, spoof_overlay,
                          synthesize_genuine, synthesize_nav_bits)
-from .receiver_core import (AcquisitionResult, CorrelatorEpoch, TrackingConfig,
-                            TrackResult, acquire, lock_tests, track_channel)
+from .receiver_core import (EPOCH_DTYPE, AcquisitionResult, TrackingConfig,
+                            TrackResult, acquire, lock_masks, track_channel)
 from .fingerprint_features import (FeatureVector, FeatureWindowConfig,
                                    extract_features)
 from .mvn_model import MvnModel, density, fit, from_moments, log_density

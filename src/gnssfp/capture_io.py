@@ -22,7 +22,7 @@ import numpy as np
 
 from .fingerprint_features import FeatureVector, FeatureWindowConfig
 from .mvn_model import from_moments
-from .receiver_core import CorrelatorEpoch
+from .receiver_core import EPOCH_DTYPE
 from .signal_sim import IqStream
 from .spoof_detector import Decision, DetectorProfile
 
@@ -76,26 +76,25 @@ def write_iq(stream: IqStream, path, meta: CaptureMeta) -> None:
     Integer formats reject any sample whose scaled value falls outside
     [-2^(bits-1), 2^(bits-1) - 1], naming the first offending index.
     """
-    samples = np.asarray(stream.samples)
-    inter = np.empty(2 * len(samples), dtype=np.float64)
+    # complex64 memory is already interleaved I,Q float32.
+    inter = np.ascontiguousarray(stream.samples, dtype=np.complex64).view(np.float32)
     if meta.iq_swap:
-        inter[0::2], inter[1::2] = samples.imag, samples.real
-    else:
-        inter[0::2], inter[1::2] = samples.real, samples.imag
-    if not np.all(np.isfinite(inter)):
+        inter = inter.reshape(-1, 2)[:, ::-1].ravel()
+    if not np.isfinite(inter).all():
         raise ValueError("samples must be finite")
 
     if meta.sample_format == "float32":
-        payload = inter.astype(meta.dtype)
+        payload = inter.astype(meta.dtype, copy=False)
     else:
+        # Scaling by a power of two is exact in float32.
         bits = 8 * np.dtype(_SAMPLE_DTYPES[meta.sample_format]).itemsize
         full = float(1 << (bits - 1))
-        scaled = np.rint(inter * full)
+        scaled = np.rint(inter * np.float32(full))
         bad = np.flatnonzero((scaled < -full) | (scaled > full - 1))
         if bad.size:
             i = int(bad[0])
             raise ValueError(
-                f"sample {i // 2} ({'IQ'[i % 2]} component, value {inter[i]!r}) "
+                f"sample {i // 2} ({'IQ'[i % 2]} component, value {float(inter[i])!r}) "
                 f"is not representable in {meta.sample_format}: values must lie "
                 f"in [-1, 1 - 2^-{bits - 1}]")
         payload = scaled.astype(meta.dtype)
@@ -277,7 +276,14 @@ def load_model(path) -> DetectorProfile:
 def load_window_config(path) -> FeatureWindowConfig:
     with open(str(path), encoding="utf-8") as f:
         doc = json.load(f)
-    return FeatureWindowConfig(**doc.get("window", {}))
+    window = doc.get("window", {})
+    for key, value in window.items():
+        if key not in asdict(FeatureWindowConfig()):
+            raise ValueError(f"{path}: unknown profile window field '{key}'")
+        if type(value) is not int:
+            raise ValueError(f"{path}: profile window field '{key}' must be an "
+                             f"integer, got {value!r}")
+    return FeatureWindowConfig(**window)
 
 
 # --------------------------------------------------------------------------
@@ -308,22 +314,16 @@ EPOCH_CSV_HEADER = ["t", "e_re", "e_im", "p_re", "p_im", "l_re", "l_im",
 
 
 def write_epochs_csv(epochs, path) -> None:
-    _write_csv(path, EPOCH_CSV_HEADER,
-               ([_fmt(ep.t), _fmt(ep.e.real), _fmt(ep.e.imag), _fmt(ep.p.real),
-                 _fmt(ep.p.imag), _fmt(ep.l.real), _fmt(ep.l.imag), _fmt(ep.cn0_est),
-                 _fmt(ep.clt_est), _fmt(ep.code_phase), _fmt(ep.doppler)]
-                for ep in epochs))
+    # A record is the CSV's columns as float64; csv writes floats by exact repr.
+    columns = np.ascontiguousarray(epochs, dtype=EPOCH_DTYPE).view(np.float64)
+    columns = columns.reshape(-1, len(EPOCH_CSV_HEADER))
+    _write_csv(path, EPOCH_CSV_HEADER, (row.tolist() for row in columns))
 
 
-def read_epochs_csv(path) -> list:
-    return [CorrelatorEpoch(
-                t=float(row["t"]),
-                e=complex(float(row["e_re"]), float(row["e_im"])),
-                p=complex(float(row["p_re"]), float(row["p_im"])),
-                l=complex(float(row["l_re"]), float(row["l_im"])),
-                cn0_est=float(row["cn0_est"]), clt_est=float(row["clt_est"]),
-                code_phase=float(row["code_phase"]), doppler=float(row["doppler"]))
-            for row in _read_csv(path, EPOCH_CSV_HEADER, "epoch")]
+def read_epochs_csv(path) -> np.recarray:
+    flat = np.fromiter((float(row[key]) for row in _read_csv(path, EPOCH_CSV_HEADER, "epoch")
+                        for key in EPOCH_CSV_HEADER), dtype=np.float64)
+    return flat.reshape(-1, len(EPOCH_CSV_HEADER)).view(EPOCH_DTYPE)[:, 0].view(np.recarray)
 
 
 FEATURE_CSV_HEADER = ["t", "prn", "e_high", "e_low", "p_high", "p_low",

@@ -24,7 +24,9 @@ from . import __version__, capture_io, signal_sim, spoof_detector
 from .capture_io import (CaptureMeta, DatasetManifest, FormatError,
                          load_model, load_window_config)
 from .fingerprint_features import FeatureWindowConfig, extract_features
-from .receiver_core import TrackingConfig, acquire, track_channel
+from .receiver_core import (EPOCH_DTYPE, LOCK_FAIL_BOTH, LOCK_FAIL_CARRIER,
+                            LOCK_FAIL_CODE, LOCK_PASS, TrackingConfig, acquire,
+                            lock_masks, track_channel)
 from .signal_sim import (AttackConfig, HardwareSignature, IqStream, SatelliteScenario,
                          apply_multipath, spoof_overlay, synthesize_genuine)
 
@@ -225,6 +227,19 @@ def _track_prns(stream: IqStream, args, trk_cfg: TrackingConfig) -> list:
         return list(pool.map(track_one, prns))
 
 
+def _channel_record(prn: int, track, acq) -> dict:
+    """Run-record entry of one requested PRN; an infinite peak metric is null."""
+    epochs = track.epochs if track else np.zeros(0, dtype=EPOCH_DTYPE)
+    code_ok, carrier_ok = lock_masks(epochs, TrackingConfig())
+    return {"prn": prn, "epochs": len(epochs),
+            "status": track.status if track else "not_acquired",
+            "peak_metric": acq.peak_metric if np.isfinite(acq.peak_metric) else None,
+            "lock_outcomes": {LOCK_PASS: int(np.sum(code_ok & carrier_ok)),
+                              LOCK_FAIL_CODE: int(np.sum(~code_ok & carrier_ok)),
+                              LOCK_FAIL_CARRIER: int(np.sum(code_ok & ~carrier_ok)),
+                              LOCK_FAIL_BOTH: int(np.sum(~code_ok & ~carrier_ok))}}
+
+
 def cmd_track(args) -> int:
     stream = capture_io.read_iq(args.capture)
     os.makedirs(args.out, exist_ok=True)
@@ -241,8 +256,9 @@ def cmd_track(args) -> int:
         print(f"PRN {prn:2d}: {len(track.epochs)} epochs, {track.status}, "
               f"doppler {acq_result.doppler:+.1f} Hz -> {path}")
         any_tracked = True
-    _write_run_record(args.out, "track", None,
-                      {"capture": args.capture, "prns": [prn for prn, _, _ in results]})
+    _write_run_record(args.out, "track", None, {
+        "capture": args.capture, "prns": [prn for prn, _, _ in results],
+        "channels": [_channel_record(*result) for result in results]})
     return EXIT_OK if any_tracked else EXIT_DATA
 
 
@@ -338,6 +354,12 @@ def cmd_xval(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    capture_flags = [flag for flag, value in (("--capture", args.capture), ("--prn", args.prn),
+                                              ("--labels", args.labels)) if value]
+    if args.epochs and capture_flags:
+        raise ScenarioError(f"detect --epochs cannot be combined with {', '.join(capture_flags)}")
+    if not args.epochs and not (args.capture and args.prn):
+        raise ScenarioError("detect needs --capture with --prn, or --epochs")
     profile = load_model(args.profile)
     window = load_window_config(args.profile)
     trk_cfg = TrackingConfig()
@@ -348,8 +370,6 @@ def cmd_detect(args) -> int:
                     for path in args.epochs]
         label_ivs = []
     else:
-        if not args.capture or not args.prn:
-            raise ScenarioError("detect needs --capture with --prn, or --epochs")
         stream = capture_io.read_iq(args.capture)
         if args.labels:
             stream.labels = capture_io.load_labels(args.labels)

@@ -8,8 +8,8 @@ strictly-negative values the "low" features, giving one
 (e_high, e_low, p_high, p_low, l_high, l_low) vector per window — one
 fully six-dimensional sample point per nav-bit-scale interval.
 
-The pass is strictly single-scan with bounded per-window work, so the cost
-per emitted sample point is constant.
+The lock filter is one mask over the epoch array; the survivors are reshaped
+into window rows, so Python visits windows, never single epochs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .receiver_core import LOCK_PASS, TrackingConfig, lock_tests
+from .receiver_core import TrackingConfig, lock_masks
 
 
 @dataclass(frozen=True)
@@ -65,36 +65,21 @@ def extract_features(epochs, cfg: FeatureWindowConfig = FeatureWindowConfig(),
                      prn: int = 0):
     """Lock-filter epochs and emit one FeatureVector per surviving window.
 
-    `epochs` may be any iterable of CorrelatorEpoch from a single channel in
-    time order; it is consumed exactly once. Windows with fewer than
-    min_pos positive or min_neg negative real-prompt epochs are skipped.
+    `epochs` is one channel's EPOCH_DTYPE array in time order. Windows with
+    fewer than min_pos positive or min_neg negative real-prompt epochs are
+    skipped.
     """
+    code_ok, carrier_ok = lock_masks(epochs, trk)
+    kept = epochs[code_ok & carrier_ok]
+    n_win = len(kept) // cfg.window_len
+    rows = kept[:n_win * cfg.window_len].reshape(n_win, cfg.window_len)
+    e, p, l = rows["e"].real, rows["p"].real, rows["l"].real
+    balanced = ((np.count_nonzero(p > 0, axis=1) >= cfg.min_pos)
+                & (np.count_nonzero(p < 0, axis=1) >= cfg.min_neg))
     out = []
-    buf_e = np.empty(cfg.window_len)
-    buf_p = np.empty(cfg.window_len)
-    buf_l = np.empty(cfg.window_len)
-    fill = 0
-    t_last = 0.0
-
-    for ep in epochs:
-        if lock_tests(ep, trk) != LOCK_PASS:
-            continue
-        buf_e[fill] = ep.e.real
-        buf_p[fill] = ep.p.real
-        buf_l[fill] = ep.l.real
-        t_last = ep.t
-        fill += 1
-        if fill < cfg.window_len:
-            continue
-        fill = 0
-        n_pos = int(np.count_nonzero(buf_p > 0))
-        n_neg = int(np.count_nonzero(buf_p < 0))
-        if n_pos < cfg.min_pos or n_neg < cfg.min_neg:
-            continue
-        e_high, e_low = _sign_split_mean(buf_e)
-        p_high, p_low = _sign_split_mean(buf_p)
-        l_high, l_low = _sign_split_mean(buf_l)
-        out.append(FeatureVector(t=t_last, prn=prn, e_high=e_high, e_low=e_low,
-                                 p_high=p_high, p_low=p_low,
-                                 l_high=l_high, l_low=l_low))
+    for i in np.flatnonzero(balanced):
+        # Means over each window's compacted values: a masked row sum would
+        # add them in another order and change the features' last bits.
+        means = [m for column in (e, p, l) for m in _sign_split_mean(column[i])]
+        out.append(FeatureVector(float(rows["t"][i, -1]), prn, *means))
     return out

@@ -64,25 +64,23 @@ class AcquisitionResult:
     acquired: bool
 
 
-@dataclass(frozen=True)
-class CorrelatorEpoch:
-    """One integration interval: the complex E/P/L outputs plus lock metrics."""
-
-    t: float  # epoch start, seconds
-    e: complex
-    p: complex
-    l: complex
-    cn0_est: float  # dB-Hz; 0.0 during estimator warm-up
-    clt_est: float  # cos(2*dphi) estimate in [-1, 1]; 0.0 during warm-up
-    code_phase: float  # chips, replica phase used this epoch
-    doppler: float  # Hz, carrier frequency used this epoch
+# One integration interval per record. The layout is the epoch CSV's eleven
+# float64 columns in order (each complex field is its _re, _im pair).
+EPOCH_DTYPE = np.dtype([
+    ("t", np.float64),  # epoch start, seconds
+    ("e", np.complex128), ("p", np.complex128), ("l", np.complex128),
+    ("cn0_est", np.float64),  # dB-Hz; 0.0 during estimator warm-up
+    ("clt_est", np.float64),  # cos(2*dphi) estimate in [-1, 1]; 0.0 during warm-up
+    ("code_phase", np.float64),  # chips, replica phase used this epoch
+    ("doppler", np.float64),  # Hz, carrier frequency used this epoch
+])
 
 
 @dataclass
 class TrackResult:
     prn: int
     status: str
-    epochs: list
+    epochs: np.recarray  # of EPOCH_DTYPE
 
 
 def acquire(iq: IqStream, prn: int, doppler_range: float = 5000.0,
@@ -186,9 +184,9 @@ def track_channel(iq: IqStream, init: AcquisitionResult,
                   cfg: TrackingConfig = TrackingConfig()) -> TrackResult:
     """Run the DLL/PLL channel over the whole stream, one epoch per record.
 
-    Emits one CorrelatorEpoch per integration_time with timestamps advancing
-    exactly by the integration time. Terminates early with a loss-of-lock
-    status when the C/N0 test fails 50 epochs in a row (after warm-up).
+    Returns one EPOCH_DTYPE record per integration_time, timestamps exactly
+    one integration time apart. Terminates early with a loss-of-lock status
+    when the C/N0 test fails 50 epochs in a row (after warm-up).
     """
     if not init.acquired:
         raise ValueError(f"cannot track PRN {init.prn}: acquisition failed")
@@ -215,7 +213,7 @@ def track_channel(iq: IqStream, init: AcquisitionResult,
     # Ring of the last _LOCK_WINDOW prompts feeding the lock detectors.
     prompts = np.zeros(_LOCK_WINDOW, dtype=np.complex128)
 
-    epochs = []
+    epochs = np.zeros(n_epochs_total, dtype=EPOCH_DTYPE)
     status = STATUS_COMPLETED
     code_fail_run = 0
 
@@ -266,18 +264,16 @@ def track_channel(iq: IqStream, init: AcquisitionResult,
         prompts[k % _LOCK_WINDOW] = p
         cn0, clt = _lock_estimates(prompts, T) if k >= _LOCK_WINDOW - 1 else (0.0, 0.0)
 
-        epochs.append(CorrelatorEpoch(t=t_k, e=complex(e), p=complex(p), l=complex(l),
-                                      cn0_est=cn0, clt_est=clt,
-                                      code_phase=epoch_code_phase,
-                                      doppler=epoch_doppler))
+        epochs[k] = (t_k, e, p, l, cn0, clt, epoch_code_phase, epoch_doppler)
 
         if k >= _LOCK_WINDOW - 1:
             code_fail_run = code_fail_run + 1 if cn0 < cfg.gamma_code else 0
             if code_fail_run >= _LOSS_OF_LOCK_EPOCHS:
                 status = STATUS_LOSS_OF_LOCK
+                epochs = epochs[:k + 1]
                 break
 
-    return TrackResult(prn=init.prn, status=status, epochs=epochs)
+    return TrackResult(prn=init.prn, status=status, epochs=epochs.view(np.recarray))
 
 
 def _nwpr_cn0(sum_abs_i: float, sum_sign_q: float, wide_power: float,
@@ -314,12 +310,10 @@ def _lock_estimates(prompts: np.ndarray, integration_time: float) -> tuple[float
     return float(cn0), float((sq_i - sq_q) / wide)
 
 
-def lock_tests(epoch: CorrelatorEpoch, cfg: TrackingConfig = TrackingConfig()) -> str:
-    """Apply the code (C/N0) and carrier (cos 2*dphi) lock tests to one epoch."""
-    code_ok = epoch.cn0_est >= cfg.gamma_code
-    carrier_ok = epoch.clt_est >= cfg.gamma_carrier
-    if code_ok and carrier_ok:
-        return LOCK_PASS
-    if not code_ok and not carrier_ok:
-        return LOCK_FAIL_BOTH
-    return LOCK_FAIL_CODE if not code_ok else LOCK_FAIL_CARRIER
+def lock_masks(epochs: np.ndarray, cfg: TrackingConfig = TrackingConfig()):
+    """Code (C/N0) and carrier (cos 2*dphi) lock tests over an epoch array.
+
+    Returns the (code_ok, carrier_ok) boolean arrays; both thresholds are
+    inclusive.
+    """
+    return epochs["cn0_est"] >= cfg.gamma_code, epochs["clt_est"] >= cfg.gamma_carrier

@@ -244,11 +244,11 @@ def kfold_xval(datasets, holdout_fraction: float = 0.3, seed: int = 0,
     return reports
 
 
-def detect_stream(epochs, profile: DetectorProfile,
+def detect_stream(epochs: np.ndarray, profile: DetectorProfile,
                   window_cfg: FeatureWindowConfig = FeatureWindowConfig(),
                   trk_cfg: TrackingConfig = TrackingConfig(),
                   prn: int = 0) -> list[Decision]:
-    """Streaming detection over one channel's correlator epochs.
+    """Streaming detection over one channel's EPOCH_DTYPE correlator epochs.
 
     Features are extracted with the usual lock filtering, scored, and
     grouped into sliding n_avg blocks (stride one sample point) so each new

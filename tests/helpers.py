@@ -21,6 +21,42 @@ def truth_init(prn, code_phase, doppler):
                                 peak_metric=float("inf"), acquired=True)
 
 
+def epoch_array(**columns):
+    """An EPOCH_DTYPE recarray from per-field values broadcast to one
+    length; fields not given are 0."""
+    shape = np.broadcast_shapes(*(np.shape(v) for v in columns.values()))
+    out = np.zeros(shape, dtype=rc.EPOCH_DTYPE).view(np.recarray)
+    for name, values in columns.items():
+        out[name] = values
+    return out
+
+
+def extract_features_oracle(epochs, cfg, trk=rc.TrackingConfig(), prn=0):
+    """Per-epoch feature extraction: test each epoch's lock metrics, buffer
+    the passing ones and close a window every cfg.window_len of them."""
+    out = []
+    buf_e, buf_p, buf_l = (np.empty(cfg.window_len) for _ in range(3))
+    fill = 0
+    for ep in epochs:
+        if not (ep.cn0_est >= trk.gamma_code and ep.clt_est >= trk.gamma_carrier):
+            continue
+        buf_e[fill], buf_p[fill], buf_l[fill] = ep.e.real, ep.p.real, ep.l.real
+        fill += 1
+        if fill < cfg.window_len:
+            continue
+        fill = 0
+        if (np.count_nonzero(buf_p > 0) < cfg.min_pos
+                or np.count_nonzero(buf_p < 0) < cfg.min_neg):
+            continue
+        means = []
+        for buf in (buf_e, buf_p, buf_l):
+            pos, neg = buf[buf > 0], buf[buf < 0]
+            means += [float(pos.mean()) if pos.size else 0.0,
+                      float(neg.mean()) if neg.size else 0.0]
+        out.append(ff.FeatureVector(float(ep.t), prn, *means))
+    return out
+
+
 def oracle_circcorr(a, b):
     """Exhaustive circular correlation: one dot product per lag."""
     return np.array([np.dot(a, np.roll(b, -k)) for k in range(len(a))])

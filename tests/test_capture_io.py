@@ -5,10 +5,11 @@ import pytest
 
 from gnssfp import capture_io as cio
 from gnssfp import mvn_model
+from gnssfp import receiver_core as rc
 from gnssfp.fingerprint_features import FeatureVector, FeatureWindowConfig
-from gnssfp.receiver_core import CorrelatorEpoch
 from gnssfp.signal_sim import IqStream
 from gnssfp.spoof_detector import Decision, DetectorProfile, EvalReport
+from helpers import epoch_array
 
 
 def representable_samples(rng, n, fmt):
@@ -215,16 +216,33 @@ class TestModelFile:
 class TestCsvFormats:
     def test_epoch_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
-        epochs = [CorrelatorEpoch(t=1e-3 * i, e=complex(*rng.normal(size=2)),
-                                  p=complex(*rng.normal(size=2)),
-                                  l=complex(*rng.normal(size=2)),
-                                  cn0_est=float(rng.uniform(20, 50)),
-                                  clt_est=float(rng.uniform(-1, 1)),
-                                  code_phase=float(rng.uniform(0, 1023)),
-                                  doppler=float(rng.uniform(-5e3, 5e3)))
-                  for i in range(25)]
+        epochs = epoch_array(t=1e-3 * np.arange(25),
+                             e=rng.normal(size=25) + 1j * rng.normal(size=25),
+                             p=rng.normal(size=25) + 1j * rng.normal(size=25),
+                             l=rng.normal(size=25) + 1j * rng.normal(size=25),
+                             cn0_est=rng.uniform(20, 50, size=25),
+                             clt_est=rng.uniform(-1, 1, size=25),
+                             code_phase=rng.uniform(0, 1023, size=25),
+                             doppler=rng.uniform(-5e3, 5e3, size=25))
         cio.write_epochs_csv(epochs, tmp_path / "e.csv")
-        assert cio.read_epochs_csv(tmp_path / "e.csv") == epochs
+        back = cio.read_epochs_csv(tmp_path / "e.csv")
+        assert back.dtype.names == rc.EPOCH_DTYPE.names
+        assert back.tobytes() == epochs.tobytes()
+
+    def test_epoch_round_trip_keeps_every_bit(self, tmp_path):
+        # signed zeros, a subnormal and the far end of the binary64 range
+        special = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1, 1 / 3])
+        epochs = epoch_array(t=special, e=special, p=special[::-1], l=-special,
+                             cn0_est=special[::-1], clt_est=special, code_phase=special,
+                             doppler=special[::-1])
+        for field in ("e", "p", "l"):
+            epochs[field].imag = special[::-1]
+        cio.write_epochs_csv(epochs, tmp_path / "e.csv")
+        assert cio.read_epochs_csv(tmp_path / "e.csv").tobytes() == epochs.tobytes()
+        rows = (tmp_path / "e.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [repr(x) for x in special.tolist()]
+        cio.write_epochs_csv(epochs[:0], tmp_path / "empty.csv")
+        assert cio.read_epochs_csv(tmp_path / "empty.csv").shape == (0,)
 
     def test_feature_round_trip_and_header(self, tmp_path):
         feats = [FeatureVector(t=0.02 * i, prn=7, e_high=1.5, e_low=-1.25,

@@ -241,6 +241,64 @@ class TestTrainEvalDetect:
         assert code == EXIT_DATA
         assert "missing required field 'sigma'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window, field", [({"stride": 2}, "'stride'"),
+                                               ({"window_len": "40"}, "'window_len'"),
+                                               ({"min_pos": 3.0}, "'min_pos'")])
+    def test_bad_profile_window_is_data_error(self, pipeline_dir, tmp_path, capsys,
+                                              window, field):
+        _, paths = pipeline_dir
+        profile = tmp_path / "profile.json"
+        main(["train", "--genuine", str(paths["genuine"] / "features.csv"),
+              "--out", str(profile)])
+        doc = json.loads(profile.read_text())
+        doc["window"].update(window)
+        profile.write_text(json.dumps(doc))
+        code = main(["detect", "--epochs", str(paths["genuine"] / "epochs_prn07.csv"),
+                     "--profile", str(profile), "--out", str(tmp_path / "det")])
+        assert code == EXIT_DATA
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--labels", "missing.npy"], ["--capture", "c.iq"],
+                                       ["--prn", "7"]])
+    def test_detect_epochs_rejects_capture_flags(self, pipeline_dir, tmp_path, capsys,
+                                                 extra):
+        _, paths = pipeline_dir
+        profile = tmp_path / "profile.json"
+        main(["train", "--genuine", str(paths["genuine"] / "features.csv"),
+              "--out", str(profile)])
+        out = tmp_path / "det"
+        code = main(["detect", "--epochs", str(paths["spoofed"] / "epochs_prn07.csv"),
+                     "--profile", str(profile), "--out", str(out), *extra])
+        assert code == EXIT_USAGE
+        assert extra[0] in capsys.readouterr().err
+        assert not (out / "decisions.csv").exists()
+
+    def test_track_run_record_counts_lock_outcomes(self, pipeline_dir, tmp_path):
+        _, paths = pipeline_dir
+        assert main(["track", "--capture", str(paths["genuine"] / "capture.iq"),
+                     "--prn", "7", "--prn", "8", "--out", str(tmp_path)]) == EXIT_OK
+        record = json.loads((tmp_path / "run_record_track.json").read_text())
+        assert record["prns"] == [7, 8]
+        tracked, missing = record["channels"]
+        epochs = cio.read_epochs_csv(tmp_path / "epochs_prn07.csv")
+        assert tracked["prn"] == 7 and tracked["epochs"] == len(epochs) == 4000
+        assert tracked["status"] == "completed" and tracked["peak_metric"] > 2.0
+        outcomes = tracked["lock_outcomes"]
+        assert set(outcomes) == {"pass", "fail_code", "fail_carrier", "fail_both"}
+        code_ok = epochs.cn0_est >= 32.0
+        carrier_ok = epochs.clt_est >= 0.5
+        assert outcomes["pass"] == np.sum(code_ok & carrier_ok) > 0
+        assert outcomes["fail_code"] == np.sum(~code_ok & carrier_ok)
+        assert outcomes["fail_carrier"] == np.sum(code_ok & ~carrier_ok)
+        assert outcomes["fail_both"] == np.sum(~code_ok & ~carrier_ok) >= 19  # warm-up
+        assert missing["prn"] == 8 and missing["status"] == "not_acquired"
+        assert missing["epochs"] == 0 and sum(missing["lock_outcomes"].values()) == 0
+        # a noiseless acquisition's infinite metric is written as JSON null
+        from gnssfp.cli import _channel_record
+        from gnssfp.receiver_core import AcquisitionResult
+        acq = AcquisitionResult(3, 0.0, 0.0, float("inf"), True)
+        assert _channel_record(3, None, acq)["peak_metric"] is None
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["simulate", "--scenario", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == EXIT_USAGE

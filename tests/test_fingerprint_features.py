@@ -4,20 +4,15 @@ import pytest
 from gnssfp import fingerprint_features as ff
 from gnssfp import receiver_core as rc
 from gnssfp import signal_sim as ss
-
-
-def make_epoch(p_real, t=0.0, passing=True, e_real=None, l_real=None):
-    cn0, clt = (40.0, 0.9) if passing else (20.0, 0.1)
-    e_real = 0.75 * p_real if e_real is None else e_real
-    l_real = 0.75 * p_real if l_real is None else l_real
-    return rc.CorrelatorEpoch(t=t, e=complex(e_real, 0.0), p=complex(p_real, 0.0),
-                              l=complex(l_real, 0.0), cn0_est=cn0, clt_est=clt,
-                              code_phase=0.0, doppler=0.0)
+from helpers import epoch_array, extract_features_oracle
 
 
 def epochs_from(p_reals, passing=True):
-    return [make_epoch(p, t=1e-3 * i, passing=passing)
-            for i, p in enumerate(p_reals)]
+    """Epochs with real prompts p_reals, E = L = 0.75 P, 1 ms apart."""
+    p = np.asarray(p_reals, dtype=float)
+    return epoch_array(t=1e-3 * np.arange(len(p)), e=0.75 * p, p=p, l=0.75 * p,
+                       cn0_est=40.0 if passing else 20.0,
+                       clt_est=0.9 if passing else 0.1)
 
 
 SMALL = ff.FeatureWindowConfig(window_len=6, min_pos=3, min_neg=3)
@@ -40,7 +35,7 @@ class TestExtractFeatures:
         assert fv.t == pytest.approx(5e-3)
 
     def test_empty_input_empty_output(self):
-        assert ff.extract_features([], SMALL) == []
+        assert ff.extract_features(epochs_from([]), SMALL) == []
 
     def test_window_without_sign_mix_skipped(self):
         epochs = epochs_from([4, 4, 4, 4, 4, 4])  # no negatives at all
@@ -50,11 +45,9 @@ class TestExtractFeatures:
 
     def test_lock_filter_spans_windows(self):
         # 6 passing epochs interleaved with failures still form one window
-        good = [4, -4, 4, -4, 4, -4]
-        epochs = []
-        for i, p in enumerate(good):
-            epochs.append(make_epoch(p, t=2e-3 * i, passing=True))
-            epochs.append(make_epoch(99.0, t=2e-3 * i + 1e-3, passing=False))
+        epochs = epochs_from([4, 99.0, -4, 99.0, 4, 99.0, -4, 99.0, 4, 99.0, -4, 99.0])
+        epochs.cn0_est[1::2] = 20.0
+        epochs.clt_est[1::2] = 0.1
         out = ff.extract_features(epochs, SMALL)
         assert len(out) == 1
         assert out[0].p_high == pytest.approx(4.0)
@@ -79,12 +72,10 @@ class TestExtractFeatures:
 
     def test_raising_thresholds_never_adds_vectors(self):
         rng = np.random.default_rng(4)
-        epochs = [rc.CorrelatorEpoch(t=1e-3 * i, e=complex(v, 0), p=complex(v, 0),
-                                     l=complex(v, 0),
-                                     cn0_est=float(rng.uniform(25, 45)),
-                                     clt_est=float(rng.uniform(0.2, 1.0)),
-                                     code_phase=0.0, doppler=0.0)
-                  for i, v in enumerate(rng.normal(0, 5, size=600))]
+        v = rng.normal(0, 5, size=600)
+        epochs = epoch_array(t=1e-3 * np.arange(600), e=v, p=v, l=v,
+                             cn0_est=rng.uniform(25, 45, size=600),
+                             clt_est=rng.uniform(0.2, 1.0, size=600))
         cfg = ff.FeatureWindowConfig(window_len=10, min_pos=2, min_neg=2)
         counts = []
         for gamma_code, gamma_carrier in [(28.0, 0.3), (32.0, 0.5), (36.0, 0.7)]:
@@ -92,19 +83,29 @@ class TestExtractFeatures:
             counts.append(len(ff.extract_features(epochs, cfg, trk)))
         assert counts[0] >= counts[1] >= counts[2]
 
-    def test_single_pass_over_epochs(self):
-        # the input iterable is consumed exactly once, one epoch at a time
-        epochs = epochs_from([4, -4] * 30)
-        calls = {"n": 0}
-
-        def counting():
-            for ep in epochs:
-                calls["n"] += 1
-                yield ep
-
-        out = ff.extract_features(counting(), SMALL)
-        assert calls["n"] == len(epochs)
-        assert len(out) == len(epochs) // SMALL.window_len
+    def test_matches_per_epoch_oracle(self):
+        # randomized windows, sign thresholds, lock failures, exact +/-0.0
+        # prompts and lock metrics sitting exactly on the thresholds
+        rng = np.random.default_rng(21)
+        trk = rc.TrackingConfig()
+        for _ in range(300):
+            n = int(rng.integers(0, 400))
+            min_pos, min_neg = rng.integers(0, 4, size=2)
+            cfg = ff.FeatureWindowConfig(window_len=int(rng.integers(6, 50)),
+                                         min_pos=int(min_pos), min_neg=int(min_neg))
+            p = rng.normal(0, 5, size=n)
+            p[rng.random(n) < 0.1] = 0.0
+            p[rng.random(n) < 0.1] = -0.0
+            epochs = epoch_array(
+                t=1e-3 * np.arange(n), e=rng.normal(0, 4, size=n), p=p,
+                l=rng.normal(0, 4, size=n),
+                cn0_est=rng.choice([20.0, 31.999, 32.0, 40.0], size=n, p=[.1, .1, .2, .6]),
+                clt_est=rng.choice([0.1, 0.4999, 0.5, 0.9], size=n, p=[.1, .1, .2, .6]))
+            for field in ("e", "p", "l"):  # imaginary parts, keeping -0.0 reals
+                epochs[field].imag = rng.normal(0, 1, size=n)
+            prn = int(rng.integers(1, 33))
+            assert (ff.extract_features(epochs, cfg, trk, prn)
+                    == extract_features_oracle(epochs, cfg, trk, prn))
 
     def test_window_config_validation(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import pytest
 
 from gnssfp import receiver_core as rc
 from gnssfp import signal_sim as ss
+from helpers import epoch_array
 
 TRUE_DOPPLER = 1200.0
 TRUE_CP0 = 345.6
@@ -204,20 +205,21 @@ class TestCarrierLockMetric:
 
 
 class TestLockTests:
-    def _epoch(self, cn0, clt):
-        return rc.CorrelatorEpoch(t=0.0, e=0j, p=0j, l=0j, cn0_est=cn0,
-                                  clt_est=clt, code_phase=0.0, doppler=0.0)
+    @staticmethod
+    def _masks(cn0, clt):
+        return rc.lock_masks(epoch_array(cn0_est=cn0, clt_est=clt), rc.TrackingConfig())
 
     def test_all_outcomes(self):
-        cfg = rc.TrackingConfig()
-        assert rc.lock_tests(self._epoch(40.0, 0.9), cfg) == rc.LOCK_PASS
-        assert rc.lock_tests(self._epoch(30.0, 0.9), cfg) == rc.LOCK_FAIL_CODE
-        assert rc.lock_tests(self._epoch(40.0, 0.3), cfg) == rc.LOCK_FAIL_CARRIER
-        assert rc.lock_tests(self._epoch(30.0, 0.3), cfg) == rc.LOCK_FAIL_BOTH
+        # pass, fail_code, fail_carrier, fail_both
+        code_ok, carrier_ok = self._masks([40.0, 30.0, 40.0, 30.0], [0.9, 0.9, 0.3, 0.3])
+        assert code_ok.tolist() == [True, False, True, False]
+        assert carrier_ok.tolist() == [True, True, False, False]
 
     def test_thresholds_are_inclusive(self):
-        cfg = rc.TrackingConfig()
-        assert rc.lock_tests(self._epoch(32.0, 0.5), cfg) == rc.LOCK_PASS
+        code_ok, carrier_ok = self._masks([32.0, np.nextafter(32.0, 0)],
+                                          [0.5, np.nextafter(0.5, 0)])
+        assert code_ok.tolist() == [True, False]
+        assert carrier_ok.tolist() == [True, False]
 
 
 class TestConjugateMultiplyAlgebra:

@@ -4,6 +4,7 @@ import pytest
 from gnssfp import spoof_detector as sd
 from gnssfp.spoof_detector import (DECISION_AUTHENTIC, DECISION_MALICIOUS,
                                    Decision, DetectorProfile)
+from helpers import epoch_array
 
 
 def sweep_oracle(genuine, spoofed):
@@ -361,14 +362,9 @@ class TestDetectStream:
         from gnssfp import fingerprint_features as ff
         from gnssfp import mvn_model
         rng = np.random.default_rng(12)
-        epochs = []
-        for i, v in enumerate(rng.normal(0, 4, size=400)):
-            epochs.append(
-                __import__("gnssfp.receiver_core", fromlist=["CorrelatorEpoch"])
-                .CorrelatorEpoch(t=1e-3 * i, e=complex(0.75 * v, 0),
-                                 p=complex(v, 0), l=complex(0.75 * v, 0),
-                                 cn0_est=40.0, clt_est=0.9, code_phase=0.0,
-                                 doppler=0.0))
+        v = rng.normal(0, 4, size=400)
+        epochs = epoch_array(t=1e-3 * np.arange(400), e=0.75 * v, p=v, l=0.75 * v,
+                             cn0_est=40.0, clt_est=0.9)
         cfg = ff.FeatureWindowConfig(window_len=20, min_pos=3, min_neg=3)
         feats = ff.extract_features(epochs, cfg)
         matrix = np.vstack([f.as_array() for f in feats])
@@ -385,18 +381,15 @@ class TestDetectStream:
 
     def test_empty_stream(self):
         profile = DetectorProfile(model=None, log_threshold=0.0, n_avg=1)
-        assert sd.detect_stream([], profile) == []
+        assert sd.detect_stream(epoch_array(t=np.zeros(0)), profile) == []
 
     def test_decisions_deterministic(self):
         from gnssfp import fingerprint_features as ff
         from gnssfp import mvn_model
-        from gnssfp.receiver_core import CorrelatorEpoch
         rng = np.random.default_rng(13)
-        epochs = [CorrelatorEpoch(t=1e-3 * i, e=complex(0.75 * v, 0),
-                                  p=complex(v, 0), l=complex(0.75 * v, 0),
-                                  cn0_est=40.0, clt_est=0.9, code_phase=0.0,
-                                  doppler=0.0)
-                  for i, v in enumerate(rng.normal(0, 4, size=300))]
+        v = rng.normal(0, 4, size=300)
+        epochs = epoch_array(t=1e-3 * np.arange(300), e=0.75 * v, p=v, l=0.75 * v,
+                             cn0_est=40.0, clt_est=0.9)
         cfg = ff.FeatureWindowConfig(window_len=20)
         model = mvn_model.fit(rng.normal(0, 4, size=(100, 6)))
         profile = DetectorProfile(model=model, log_threshold=-50.0, n_avg=3)
