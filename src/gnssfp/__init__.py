@@ -8,10 +8,10 @@ from .signal_sim import (AttackConfig, HardwareSignature, IqStream,
                          synthesize_genuine, synthesize_nav_bits)
 from .receiver_core import (EPOCH_DTYPE, AcquisitionResult, TrackingConfig,
                             TrackResult, acquire, lock_masks, track_channel)
-from .fingerprint_features import (FeatureVector, FeatureWindowConfig,
-                                   extract_features)
+from .fingerprint_features import (FEATURE_DTYPE, FeatureWindowConfig,
+                                   extract_features, feature_matrix)
 from .mvn_model import MvnModel, density, fit, from_moments, log_density
 from .spoof_detector import (Decision, DetectorProfile, EvalReport,
-                             SpoofTimingReport, classify, detect_stream,
-                             eer_threshold, evaluate, kfold_xval, prn_sets,
+                             SpoofTimingReport, detect_stream, eer_threshold,
+                             evaluate, kfold_xval, prn_sets,
                              required_n_for_zero_eer, spoof_timing, train)

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fingerprint_features import FeatureVector, FeatureWindowConfig
+from .fingerprint_features import FEATURE_DTYPE, FeatureWindowConfig
 from .mvn_model import from_moments
 from .receiver_core import EPOCH_DTYPE
 from .signal_sim import IqStream
@@ -251,39 +251,50 @@ def save_model(profile: DetectorProfile, path,
 _MODEL_FIELDS = ("k", "mu", "sigma", "log_threshold", "n_avg")
 
 
-def load_model(path) -> DetectorProfile:
+def _read_profile(path) -> dict:
     with open(str(path), encoding="utf-8") as f:
         doc = json.load(f)
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} document")
     if doc.get("version") != MODEL_VERSION:
         raise UnsupportedVersionError(
             f"{path}: profile version {doc.get('version')} not supported "
             f"(expected {MODEL_VERSION})")
+    return doc
+
+
+def load_model(path) -> DetectorProfile:
+    doc = _read_profile(path)
     for key in _MODEL_FIELDS:
         if key not in doc:
             raise ValueError(f"{path}: profile missing required field '{key}'")
     k = int(doc["k"])
     sigma = np.asarray(doc["sigma"], dtype=np.float64).reshape(k, k)
-    return DetectorProfile(model=from_moments(doc["mu"], sigma),
-                           log_threshold=float(doc["log_threshold"]),
-                           n_avg=int(doc["n_avg"]),
-                           trained_on=tuple(doc.get("trained_on", ())),
-                           train_eer=float(doc.get("train_eer", "nan")),
-                           threshold_method=doc.get("threshold_method", "eer"))
+    try:
+        return DetectorProfile(model=from_moments(doc["mu"], sigma),
+                               log_threshold=float(doc["log_threshold"]),
+                               n_avg=int(doc["n_avg"]),
+                               trained_on=tuple(doc.get("trained_on", ())),
+                               train_eer=float(doc.get("train_eer", "nan")),
+                               threshold_method=doc.get("threshold_method", "eer"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_window_config(path) -> FeatureWindowConfig:
-    with open(str(path), encoding="utf-8") as f:
-        doc = json.load(f)
-    window = doc.get("window", {})
+    window = _read_profile(path).get("window", {})
+    if not isinstance(window, dict):
+        raise ValueError(f"{path}: profile window must be a JSON object, got {window!r}")
     for key, value in window.items():
         if key not in asdict(FeatureWindowConfig()):
             raise ValueError(f"{path}: unknown profile window field '{key}'")
         if type(value) is not int:
             raise ValueError(f"{path}: profile window field '{key}' must be an "
                              f"integer, got {value!r}")
-    return FeatureWindowConfig(**window)
+    try:
+        return FeatureWindowConfig(**window)
+    except ValueError as exc:
+        raise ValueError(f"{path}: profile window: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -326,23 +337,19 @@ def read_epochs_csv(path) -> np.recarray:
     return flat.reshape(-1, len(EPOCH_CSV_HEADER)).view(EPOCH_DTYPE)[:, 0].view(np.recarray)
 
 
-FEATURE_CSV_HEADER = ["t", "prn", "e_high", "e_low", "p_high", "p_low",
-                      "l_high", "l_low"]
+FEATURE_CSV_HEADER = list(FEATURE_DTYPE.names)
 
 
 def write_features_csv(features, path) -> None:
-    _write_csv(path, FEATURE_CSV_HEADER,
-               ([_fmt(fv.t), fv.prn, _fmt(fv.e_high), _fmt(fv.e_low), _fmt(fv.p_high),
-                 _fmt(fv.p_low), _fmt(fv.l_high), _fmt(fv.l_low)] for fv in features))
+    # tolist() gives Python floats and ints; csv writes floats by exact repr.
+    _write_csv(path, FEATURE_CSV_HEADER, np.asarray(features, dtype=FEATURE_DTYPE).tolist())
 
 
-def read_features_csv(path) -> list:
-    return [FeatureVector(
-                t=float(row["t"]), prn=int(row["prn"]),
-                e_high=float(row["e_high"]), e_low=float(row["e_low"]),
-                p_high=float(row["p_high"]), p_low=float(row["p_low"]),
-                l_high=float(row["l_high"]), l_low=float(row["l_low"]))
-            for row in _read_csv(path, FEATURE_CSV_HEADER, "feature")]
+def read_features_csv(path) -> np.recarray:
+    return np.array([(float(row["t"]), int(row["prn"]),
+                      *(float(row[key]) for key in FEATURE_CSV_HEADER[2:]))
+                     for row in _read_csv(path, FEATURE_CSV_HEADER, "feature")],
+                    dtype=FEATURE_DTYPE).view(np.recarray)
 
 
 DECISION_CSV_HEADER = ["t_start", "t_end", "prn", "score_log", "decision", "label"]

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, capture_io, signal_sim, spoof_detector
 from .capture_io import (CaptureMeta, DatasetManifest, FormatError,
                          load_model, load_window_config)
-from .fingerprint_features import FeatureWindowConfig, extract_features
+from .fingerprint_features import FeatureWindowConfig, extract_features, feature_matrix
 from .receiver_core import (EPOCH_DTYPE, LOCK_FAIL_BOTH, LOCK_FAIL_CARRIER,
                             LOCK_FAIL_CODE, LOCK_PASS, TrackingConfig, acquire,
                             lock_masks, track_channel)
@@ -48,11 +48,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _jobs(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
-    return jobs
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _get(doc: dict, key: str, path: str, required: bool = False, default=None):
@@ -117,10 +117,13 @@ def load_scenario(path: str) -> dict:
             raise ScenarioError(f"attack: {exc}") from exc
 
     pipeline = doc.get("pipeline", {})
-    window = FeatureWindowConfig(
-        window_len=int(pipeline.get("window_len", 40)),
-        min_pos=int(pipeline.get("min_pos", 3)),
-        min_neg=int(pipeline.get("min_neg", 3)))
+    try:
+        window = FeatureWindowConfig(
+            window_len=int(pipeline.get("window_len", 40)),
+            min_pos=int(pipeline.get("min_pos", 3)),
+            min_neg=int(pipeline.get("min_neg", 3)))
+    except ValueError as exc:
+        raise ScenarioError(f"pipeline: {exc}") from exc
 
     sample_rate = float(doc.get("sample_rate", signal_sim.DEFAULT_SAMPLE_RATE))
     try:
@@ -272,40 +275,41 @@ def _epoch_file_prn(path: str) -> int:
 
 
 def _window_config(args) -> FeatureWindowConfig:
-    return FeatureWindowConfig(window_len=args.window_len, min_pos=args.min_pos,
-                               min_neg=args.min_neg)
+    try:
+        return FeatureWindowConfig(window_len=args.window_len, min_pos=args.min_pos,
+                                   min_neg=args.min_neg)
+    except ValueError as exc:
+        raise ScenarioError(f"--window-len {args.window_len} --min-pos {args.min_pos} "
+                            f"--min-neg {args.min_neg}: {exc}") from exc
 
 
 def cmd_extract(args) -> int:
     window = _window_config(args)
     trk_cfg = TrackingConfig()
-    all_features = []
+    parts = []
     for path in args.epochs:
         epochs = capture_io.read_epochs_csv(path)
         feats = extract_features(epochs, window, trk_cfg, prn=_epoch_file_prn(path))
         print(f"{path}: {len(epochs)} epochs -> {len(feats)} sample points")
-        all_features.extend(feats)
+        parts.append(feats)
+    all_features = np.concatenate(parts)
     capture_io.write_features_csv(all_features, args.out)
     print(f"wrote {len(all_features)} sample points -> {args.out}")
     return EXIT_OK
 
 
 def _feature_matrix(paths) -> np.ndarray:
-    rows = []
-    for path in paths:
-        rows.extend(fv.as_array() for fv in capture_io.read_features_csv(path))
-    if not rows:
-        return np.empty((0, 6))
-    return np.vstack(rows)
+    return feature_matrix(np.concatenate([capture_io.read_features_csv(p) for p in paths]))
 
 
 def cmd_train(args) -> int:
+    window = _window_config(args)
     genuine = _feature_matrix(args.genuine)
     spoofed = _feature_matrix(args.spoofed) if args.spoofed else None
     profile = spoof_detector.train(genuine, spoofed, holdout_fraction=args.holdout,
                                    seed=args.seed, n_avg=args.n_avg,
                                    trained_on=tuple(args.genuine + (args.spoofed or [])))
-    capture_io.save_model(profile, args.out, window=_window_config(args),
+    capture_io.save_model(profile, args.out, window=window,
                           provenance={"genuine": args.genuine,
                                       "spoofed": args.spoofed or []})
     print(f"trained on {genuine.shape[0]} genuine"
@@ -427,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     acquisition = argparse.ArgumentParser(add_help=False)
     acquisition.add_argument("--doppler-range", type=float, default=5000.0)
     acquisition.add_argument("--doppler-bin", type=float, default=250.0)
-    acquisition.add_argument("--jobs", type=_jobs, default=4)
+    acquisition.add_argument("--jobs", type=_positive_int, default=4)
     window = argparse.ArgumentParser(add_help=False)
     window.add_argument("--window-len", type=int, default=40)
     window.add_argument("--min-pos", type=int, default=3)
@@ -435,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     training = argparse.ArgumentParser(add_help=False)
     training.add_argument("--holdout", type=float, default=0.3)
     training.add_argument("--seed", type=int, default=0)
-    training.add_argument("--n-avg", type=int, default=1)
+    training.add_argument("--n-avg", type=_positive_int, default=1)
 
     p = sub.add_parser("simulate", help="synthesize a capture from a scenario file")
     p.add_argument("--scenario", required=True)
@@ -468,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--genuine", nargs="+", required=True)
     p.add_argument("--spoofed", nargs="+", required=True)
-    p.add_argument("--n", type=int, nargs="+", default=[1])
+    p.add_argument("--n", type=_positive_int, nargs="+", default=[1])
     p.add_argument("--out", default=None, help="optional report CSV")
     p.set_defaults(func=cmd_eval)
 

@@ -9,7 +9,8 @@ strictly-negative values the "low" features, giving one
 fully six-dimensional sample point per nav-bit-scale interval.
 
 The lock filter is one mask over the epoch array; the survivors are reshaped
-into window rows, so Python visits windows, never single epochs.
+into window rows, so Python visits windows, never single epochs. The sample
+points come out as one FEATURE_DTYPE array, one record per window.
 """
 
 from __future__ import annotations
@@ -21,22 +22,18 @@ import numpy as np
 from .receiver_core import TrackingConfig, lock_masks
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """One sample point: sign-split means of the EPL real parts."""
+# One sample point per record, laid out as the feature CSV's columns: window
+# end time (s), PRN, then the sign-split means of the EPL real parts.
+FEATURE_DTYPE = np.dtype([("t", np.float64), ("prn", np.int64),
+                          ("e_high", np.float64), ("e_low", np.float64),
+                          ("p_high", np.float64), ("p_low", np.float64),
+                          ("l_high", np.float64), ("l_low", np.float64)])
 
-    t: float  # window end, seconds
-    prn: int
-    e_high: float
-    e_low: float
-    p_high: float
-    p_low: float
-    l_high: float
-    l_low: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.e_high, self.e_low, self.p_high,
-                         self.p_low, self.l_high, self.l_low])
+def feature_matrix(features) -> np.ndarray:
+    """The six feature columns of a FEATURE_DTYPE array as an (n, 6) float64
+    matrix, the rows that the model is fitted to and scores."""
+    return np.column_stack([features[name] for name in FEATURE_DTYPE.names[2:]])
 
 
 @dataclass(frozen=True)
@@ -46,8 +43,14 @@ class FeatureWindowConfig:
     min_neg: int = 3
 
     def __post_init__(self):
+        if self.window_len < 1:
+            raise ValueError(f"window_len must be >= 1, got {self.window_len}")
+        if self.min_pos < 0 or self.min_neg < 0:
+            raise ValueError(f"min_pos and min_neg must be >= 0, got "
+                             f"{self.min_pos} and {self.min_neg}")
         if self.window_len < self.min_pos + self.min_neg:
-            raise ValueError("window_len must be >= min_pos + min_neg")
+            raise ValueError(f"window_len must be >= min_pos + min_neg, got "
+                             f"{self.window_len} < {self.min_pos} + {self.min_neg}")
 
 
 def _sign_split_mean(values: np.ndarray) -> tuple[float, float]:
@@ -62,8 +65,8 @@ def _sign_split_mean(values: np.ndarray) -> tuple[float, float]:
 
 def extract_features(epochs, cfg: FeatureWindowConfig = FeatureWindowConfig(),
                      trk: TrackingConfig = TrackingConfig(),
-                     prn: int = 0):
-    """Lock-filter epochs and emit one FeatureVector per surviving window.
+                     prn: int = 0) -> np.recarray:
+    """Lock-filter epochs and emit one FEATURE_DTYPE record per surviving window.
 
     `epochs` is one channel's EPOCH_DTYPE array in time order. Windows with
     fewer than min_pos positive or min_neg negative real-prompt epochs are
@@ -76,10 +79,8 @@ def extract_features(epochs, cfg: FeatureWindowConfig = FeatureWindowConfig(),
     e, p, l = rows["e"].real, rows["p"].real, rows["l"].real
     balanced = ((np.count_nonzero(p > 0, axis=1) >= cfg.min_pos)
                 & (np.count_nonzero(p < 0, axis=1) >= cfg.min_neg))
-    out = []
-    for i in np.flatnonzero(balanced):
-        # Means over each window's compacted values: a masked row sum would
-        # add them in another order and change the features' last bits.
-        means = [m for column in (e, p, l) for m in _sign_split_mean(column[i])]
-        out.append(FeatureVector(float(rows["t"][i, -1]), prn, *means))
-    return out
+    # Means over each window's compacted values: a masked row sum would add
+    # them in another order and change the features' last bits.
+    return np.array([(rows["t"][i, -1], prn,
+                      *(m for column in (e, p, l) for m in _sign_split_mean(column[i])))
+                     for i in np.flatnonzero(balanced)], dtype=FEATURE_DTYPE).view(np.recarray)

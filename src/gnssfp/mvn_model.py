@@ -92,15 +92,17 @@ def density(x, model: MvnModel):
     return np.exp(log_density(x, model))
 
 
-def log_mean_of_scores(log_scores) -> float:
-    """Log-sum-exp mean of already-computed log densities.
+def log_mean_of_scores(log_scores):
+    """Log-sum-exp mean of already-computed log densities over the last axis.
 
-    Used when averaging n sample points whose individual log scores are
-    known; returns -inf if every score is -inf (all-zero densities).
+    Averages n sample points whose individual log scores are known: a 1-D
+    input gives a float, a 2-D input of blocks one value per row. A block
+    whose scores are all -inf (all-zero densities) gives -inf.
     """
     log_scores = np.asarray(log_scores, dtype=np.float64)
-    if log_scores.size == 0:
+    n = log_scores.shape[-1]
+    if n == 0:
         raise ValueError("need at least one score")
-    if np.all(np.isneginf(log_scores)):
-        return float("-inf")
-    return float(logsumexp(log_scores) - np.log(log_scores.size))
+    with np.errstate(divide="ignore"):  # log(0) of an all -inf block
+        out = logsumexp(log_scores, axis=-1) - np.log(n)
+    return float(out) if np.ndim(out) == 0 else out

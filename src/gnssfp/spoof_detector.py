@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mvn_model
-from .fingerprint_features import FeatureWindowConfig, extract_features
+from .fingerprint_features import FeatureWindowConfig, extract_features, feature_matrix
 from .mvn_model import MvnModel
 from .receiver_core import TrackingConfig
 
@@ -40,6 +40,10 @@ class DetectorProfile:
     trained_on: tuple = ()
     train_eer: float = float("nan")
     threshold_method: str = "eer"  # "eer" | "genuine_quantile"
+
+    def __post_init__(self):
+        if self.n_avg < 1:
+            raise ValueError(f"n_avg must be >= 1, got {self.n_avg}")
 
 
 @dataclass(frozen=True)
@@ -181,23 +185,13 @@ def train(genuine_features, spoofed_features=None, holdout_fraction: float = 0.3
                            threshold_method="eer")
 
 
-def classify(window_scores, profile: DetectorProfile) -> str:
-    """Authentic iff the mean density of the n_avg scores exceeds the threshold."""
-    scores = np.asarray(window_scores, dtype=np.float64)
-    if scores.shape != (profile.n_avg,):
-        raise ValueError(f"expected {profile.n_avg} scores, got shape {scores.shape}")
-    mean_log = mvn_model.log_mean_of_scores(scores)
-    return DECISION_AUTHENTIC if mean_log > profile.log_threshold else DECISION_MALICIOUS
-
-
 def block_log_scores(log_scores, n: int) -> np.ndarray:
     """Log-sum-exp mean over disjoint consecutive blocks of n scores."""
+    if n < 1:
+        raise ValueError(f"block length must be >= 1, got {n}")
     scores = np.asarray(log_scores, dtype=np.float64)
     n_blocks = len(scores) // n
-    if n_blocks == 0:
-        return np.empty(0)
-    blocks = scores[:n_blocks * n].reshape(n_blocks, n)
-    return np.array([mvn_model.log_mean_of_scores(b) for b in blocks])
+    return mvn_model.log_mean_of_scores(scores[:n_blocks * n].reshape(n_blocks, n))
 
 
 def evaluate(genuine_scores, spoofed_scores, profile: DetectorProfile,
@@ -252,23 +246,21 @@ def detect_stream(epochs: np.ndarray, profile: DetectorProfile,
 
     Features are extracted with the usual lock filtering, scored, and
     grouped into sliding n_avg blocks (stride one sample point) so each new
-    sample point yields a decision once the block is full.
+    sample point yields a decision once the block is full: Authentic iff the
+    block's log-sum-exp mean score is strictly greater than the threshold.
     """
     feats = extract_features(epochs, window_cfg, trk_cfg, prn=prn)
-    if not feats:
-        return []
-    matrix = np.vstack([f.as_array() for f in feats])
-    scores = score_features(matrix, profile.model)
-    span = window_cfg.window_len * trk_cfg.integration_time
     n = profile.n_avg
-    decisions = []
-    for i in range(n - 1, len(feats)):
-        block = scores[i - n + 1:i + 1]
-        verdict = classify(block, profile)
-        decisions.append(Decision(
-            t_start=feats[i - n + 1].t - span, t_end=feats[i].t, prn=prn,
-            log_score=mvn_model.log_mean_of_scores(block), decision=verdict))
-    return decisions
+    if len(feats) < n:
+        return []
+    scores = score_features(feature_matrix(feats), profile.model)
+    mean_log = mvn_model.log_mean_of_scores(np.lib.stride_tricks.sliding_window_view(scores, n))
+    t_start = feats.t[:len(feats) - n + 1] - window_cfg.window_len * trk_cfg.integration_time
+    return [Decision(t_start=t0, t_end=t1, prn=prn, log_score=score,
+                     decision=(DECISION_AUTHENTIC if score > profile.log_threshold
+                               else DECISION_MALICIOUS))
+            for t0, t1, score in zip(t_start.tolist(), feats.t[n - 1:].tolist(),
+                                     mean_log.tolist())]
 
 
 def annotate_decisions(decisions, label_intervals) -> list[Decision]:

@@ -6,6 +6,7 @@ ground-truth despreading, timing by elementary segment scans.
 """
 
 import numpy as np
+from scipy.special import logsumexp
 
 from gnssfp import fingerprint_features as ff
 from gnssfp import receiver_core as rc
@@ -33,7 +34,8 @@ def epoch_array(**columns):
 
 def extract_features_oracle(epochs, cfg, trk=rc.TrackingConfig(), prn=0):
     """Per-epoch feature extraction: test each epoch's lock metrics, buffer
-    the passing ones and close a window every cfg.window_len of them."""
+    the passing ones and close a window every cfg.window_len of them.
+    Returns a FEATURE_DTYPE array."""
     out = []
     buf_e, buf_p, buf_l = (np.empty(cfg.window_len) for _ in range(3))
     fill = 0
@@ -53,8 +55,20 @@ def extract_features_oracle(epochs, cfg, trk=rc.TrackingConfig(), prn=0):
             pos, neg = buf[buf > 0], buf[buf < 0]
             means += [float(pos.mean()) if pos.size else 0.0,
                       float(neg.mean()) if neg.size else 0.0]
-        out.append(ff.FeatureVector(float(ep.t), prn, *means))
-    return out
+        out.append((float(ep.t), prn, *means))
+    return np.array(out, dtype=ff.FEATURE_DTYPE)
+
+
+def log_mean_oracle(blocks):
+    """Per-block log-sum-exp mean: one scalar logsumexp per row, with an
+    all -inf row giving -inf explicitly."""
+    out = []
+    for block in np.atleast_2d(np.asarray(blocks, dtype=np.float64)):
+        if np.all(np.isneginf(block)):
+            out.append(float("-inf"))
+        else:
+            out.append(float(logsumexp(block) - np.log(block.size)))
+    return np.array(out)
 
 
 def oracle_circcorr(a, b):
@@ -196,11 +210,10 @@ def scenario_features(cfg):
     Returns the pooled (n, 6) feature matrix over all satellites.
     """
     stream = build_stream(cfg)
-    rows = []
+    parts = []
     for scen in cfg["satellites"]:
         acq = rc.acquire(stream, scen.prn)
         assert acq.acquired, f"PRN {scen.prn} not acquired (metric {acq.peak_metric:.2f})"
         track = rc.track_channel(stream, acq)
-        feats = ff.extract_features(track.epochs, cfg["window"], prn=scen.prn)
-        rows.extend(fv.as_array() for fv in feats)
-    return np.vstack(rows)
+        parts.append(ff.extract_features(track.epochs, cfg["window"], prn=scen.prn))
+    return ff.feature_matrix(np.concatenate(parts))

@@ -6,7 +6,7 @@ import pytest
 from gnssfp import capture_io as cio
 from gnssfp import mvn_model
 from gnssfp import receiver_core as rc
-from gnssfp.fingerprint_features import FeatureVector, FeatureWindowConfig
+from gnssfp.fingerprint_features import FEATURE_DTYPE, FeatureWindowConfig
 from gnssfp.signal_sim import IqStream
 from gnssfp.spoof_detector import Decision, DetectorProfile, EvalReport
 from helpers import epoch_array
@@ -245,13 +245,31 @@ class TestCsvFormats:
         assert cio.read_epochs_csv(tmp_path / "empty.csv").shape == (0,)
 
     def test_feature_round_trip_and_header(self, tmp_path):
-        feats = [FeatureVector(t=0.02 * i, prn=7, e_high=1.5, e_low=-1.25,
-                               p_high=2.0, p_low=-2.0, l_high=1.5, l_low=-1.5)
-                 for i in range(10)]
+        feats = np.array([(0.02 * i, 7, 1.5, -1.25, 2.0, -2.0, 1.5, -1.5) for i in range(10)],
+                         dtype=FEATURE_DTYPE)
         cio.write_features_csv(feats, tmp_path / "f.csv")
-        header = (tmp_path / "f.csv").read_text().splitlines()[0]
-        assert header == "t,prn,e_high,e_low,p_high,p_low,l_high,l_low"
-        assert cio.read_features_csv(tmp_path / "f.csv") == feats
+        lines = (tmp_path / "f.csv").read_text().splitlines()
+        assert lines[0] == "t,prn,e_high,e_low,p_high,p_low,l_high,l_low"
+        assert lines[2] == "0.02,7,1.5,-1.25,2.0,-2.0,1.5,-1.5"
+        back = cio.read_features_csv(tmp_path / "f.csv")
+        assert back.dtype == FEATURE_DTYPE and back.tobytes() == feats.tobytes()
+        assert back[3].t == 0.02 * 3 and back.prn.tolist() == [7] * 10
+
+    def test_feature_round_trip_keeps_every_bit(self, tmp_path):
+        # signed zeros, a subnormal and the far end of the binary64 range
+        special = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1, 1 / 3])
+        feats = np.zeros(len(special), dtype=FEATURE_DTYPE)
+        feats["prn"] = np.arange(1, 9)
+        for k, name in enumerate(FEATURE_DTYPE.names):
+            if name != "prn":
+                feats[name] = np.roll(special, k) * (-1) ** k
+        cio.write_features_csv(feats, tmp_path / "f.csv")
+        assert cio.read_features_csv(tmp_path / "f.csv").tobytes() == feats.tobytes()
+        rows = (tmp_path / "f.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [repr(x) for x in special.tolist()]
+        cio.write_features_csv(feats[:0], tmp_path / "empty.csv")
+        empty = cio.read_features_csv(tmp_path / "empty.csv")
+        assert empty.dtype == FEATURE_DTYPE and empty.shape == (0,)
 
     def test_decision_round_trip_and_header(self, tmp_path):
         decisions = [Decision(t_start=0.0, t_end=0.8, prn=3, log_score=-12.5,

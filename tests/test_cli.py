@@ -85,6 +85,21 @@ class TestScenarioLoading:
         assert main(["simulate", "--scenario", scen, "--out", str(out)]) == EXIT_USAGE
         assert not (out / "capture.iq").exists()
 
+    @pytest.mark.parametrize("pipeline, field", [({"window_len": 2}, "window_len"),
+                                                 ({"window_len": 0, "min_pos": 0,
+                                                   "min_neg": 0}, "window_len"),
+                                                 ({"min_neg": -1}, "min_neg")])
+    def test_bad_pipeline_window_exits_before_output(self, tmp_path, capsys, pipeline, field):
+        doc = tiny_scenario(duration=0.1)
+        doc["pipeline"].update(pipeline)
+        scen = write_scenario(tmp_path / "window.json", doc)
+        with pytest.raises(ScenarioError, match=f"pipeline: .*{field}"):
+            load_scenario(scen)
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", scen, "--out", str(out)]) == EXIT_USAGE
+        assert "pipeline" in capsys.readouterr().err
+        assert not (out / "capture.iq").exists()
+
     def test_duplicate_prn_exits_before_output(self, tmp_path):
         doc = tiny_scenario()
         doc["satellites"].append(dict(doc["satellites"][0]))
@@ -228,6 +243,36 @@ class TestTrainEvalDetect:
             main(argv)
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [["eval", "--profile", "p.json", "--genuine", "g.csv",
+                                       "--spoofed", "s.csv", "--n", "1", "0"],
+                                      ["xval", "--dataset", "g.csv:s.csv", "--n-avg", "0"],
+                                      ["train", "--genuine", "g.csv", "--out", "p.json",
+                                       "--n-avg", "0"],
+                                      ["train", "--genuine", "g.csv", "--out", "p.json",
+                                       "--n-avg", "-2"]])
+    def test_averaging_depth_below_one_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("extract", ["--window-len", "0", "--min-pos", "0", "--min-neg", "0"]),
+        ("extract", ["--min-pos", "-1"]),
+        ("extract", ["--window-len", "5"]),
+        ("train", ["--window-len", "5"])])
+    def test_bad_window_flags_are_usage_errors(self, pipeline_dir, tmp_path, capsys,
+                                               command, flags):
+        _, paths = pipeline_dir
+        out = tmp_path / "out"
+        if command == "extract":
+            argv = ["extract", "--epochs", str(paths["genuine"] / "epochs_prn07.csv")]
+        else:
+            argv = ["train", "--genuine", str(paths["genuine"] / "features.csv")]
+        assert main(argv + ["--out", str(out)] + flags) == EXIT_USAGE
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_profile_missing_field_is_data_error(self, pipeline_dir, tmp_path, capsys):
         _, paths = pipeline_dir
         profile = tmp_path / "profile.json"
@@ -243,7 +288,10 @@ class TestTrainEvalDetect:
 
     @pytest.mark.parametrize("window, field", [({"stride": 2}, "'stride'"),
                                                ({"window_len": "40"}, "'window_len'"),
-                                               ({"min_pos": 3.0}, "'min_pos'")])
+                                               ({"min_pos": 3.0}, "'min_pos'"),
+                                               ({"window_len": 0, "min_pos": 0,
+                                                 "min_neg": 0}, "window_len must be >= 1"),
+                                               ({"min_neg": -1}, "min_neg must be >= 0")])
     def test_bad_profile_window_is_data_error(self, pipeline_dir, tmp_path, capsys,
                                               window, field):
         _, paths = pipeline_dir
@@ -257,6 +305,24 @@ class TestTrainEvalDetect:
                      "--profile", str(profile), "--out", str(tmp_path / "det")])
         assert code == EXIT_DATA
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [1, 2], "not a gnssfp-profile document"),
+        (lambda doc: {**doc, "window": [40]}, "profile window must be a JSON object"),
+        (lambda doc: {**doc, "n_avg": 0}, "n_avg must be >= 1, got 0")],
+        ids=["top_level_list", "window_list", "n_avg_zero"])
+    def test_malformed_profile_is_data_error(self, pipeline_dir, tmp_path, capsys, edit,
+                                             message):
+        _, paths = pipeline_dir
+        profile = tmp_path / "profile.json"
+        main(["train", "--genuine", str(paths["genuine"] / "features.csv"),
+              "--out", str(profile)])
+        profile.write_text(json.dumps(edit(json.loads(profile.read_text()))))
+        code = main(["detect", "--epochs", str(paths["genuine"] / "epochs_prn07.csv"),
+                     "--profile", str(profile), "--out", str(tmp_path / "det")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err and str(profile) in err
 
     @pytest.mark.parametrize("extra", [["--labels", "missing.npy"], ["--capture", "c.iq"],
                                        ["--prn", "7"]])

@@ -40,10 +40,9 @@ def takeover_run():
         track = rc.track_channel(attack_stream, acq)
         channels[scen.prn] = track.epochs
         feats = ff.extract_features(track.epochs, window, prn=scen.prn)
-        spoofed_rows.extend(fv.as_array() for fv in feats
-                            if fv.t > attack_cfg["attack"].takeover_time + 1.0)
+        spoofed_rows.append(feats[feats.t > attack_cfg["attack"].takeover_time + 1.0])
 
-    profile = sd.train(train_features, np.vstack(spoofed_rows), seed=0)
+    profile = sd.train(train_features, ff.feature_matrix(np.concatenate(spoofed_rows)), seed=0)
     return attack_cfg, window, profile, channels, label_ivs, train_features
 
 

@@ -21,7 +21,7 @@ SMALL = ff.FeatureWindowConfig(window_len=6, min_pos=3, min_neg=3)
 class TestExtractFeatures:
     def test_lock_failures_filtered_out(self):
         epochs = epochs_from([4, -4, 4, -4, 4, -4], passing=False)
-        assert ff.extract_features(epochs, SMALL) == []
+        assert len(ff.extract_features(epochs, SMALL)) == 0
 
     def test_balanced_constant_window(self):
         epochs = epochs_from([4, 4, -4, -4, 4, -4])
@@ -35,13 +35,14 @@ class TestExtractFeatures:
         assert fv.t == pytest.approx(5e-3)
 
     def test_empty_input_empty_output(self):
-        assert ff.extract_features(epochs_from([]), SMALL) == []
+        out = ff.extract_features(epochs_from([]), SMALL)
+        assert out.dtype == ff.FEATURE_DTYPE and out.shape == (0,)
 
     def test_window_without_sign_mix_skipped(self):
         epochs = epochs_from([4, 4, 4, 4, 4, 4])  # no negatives at all
-        assert ff.extract_features(epochs, SMALL) == []
+        assert len(ff.extract_features(epochs, SMALL)) == 0
         epochs = epochs_from([4, 4, 4, 4, -4, -4])  # only 2 negatives < min_neg
-        assert ff.extract_features(epochs, SMALL) == []
+        assert len(ff.extract_features(epochs, SMALL)) == 0
 
     def test_lock_filter_spans_windows(self):
         # 6 passing epochs interleaved with failures still form one window
@@ -64,11 +65,12 @@ class TestExtractFeatures:
         rng = np.random.default_rng(3)
         epochs = epochs_from(rng.normal(0, 5, size=400))
         out = ff.extract_features(epochs, ff.FeatureWindowConfig())
-        assert out
-        for fv in out:
-            arr = fv.as_array()
-            assert (arr[[0, 2, 4]] >= 0).all()
-            assert (arr[[1, 3, 5]] <= 0).all()
+        assert len(out)
+        matrix = ff.feature_matrix(out)
+        assert matrix.shape == (len(out), 6) and matrix.dtype == np.float64
+        assert (matrix[:, [0, 2, 4]] >= 0).all()
+        assert (matrix[:, [1, 3, 5]] <= 0).all()
+        assert matrix.tolist() == [list(row[2:]) for row in out.tolist()]
 
     def test_raising_thresholds_never_adds_vectors(self):
         rng = np.random.default_rng(4)
@@ -104,12 +106,22 @@ class TestExtractFeatures:
             for field in ("e", "p", "l"):  # imaginary parts, keeping -0.0 reals
                 epochs[field].imag = rng.normal(0, 1, size=n)
             prn = int(rng.integers(1, 33))
-            assert (ff.extract_features(epochs, cfg, trk, prn)
-                    == extract_features_oracle(epochs, cfg, trk, prn))
+            out = ff.extract_features(epochs, cfg, trk, prn)
+            assert out.dtype == ff.FEATURE_DTYPE
+            assert out.tobytes() == extract_features_oracle(epochs, cfg, trk, prn).tobytes()
 
     def test_window_config_validation(self):
         with pytest.raises(ValueError):
             ff.FeatureWindowConfig(window_len=4, min_pos=3, min_neg=3)
+
+    @pytest.mark.parametrize("window_len, min_pos, min_neg, field", [
+        (0, 0, 0, "window_len"), (-1, 0, 0, "window_len"), (6, -1, 3, "min_pos"),
+        (6, 3, -1, "min_neg"), (7, 3, 5, "min_pos \\+ min_neg")])
+    def test_window_config_rejects_empty_windows_and_negative_counts(
+            self, window_len, min_pos, min_neg, field):
+        with pytest.raises(ValueError, match=field):
+            ff.FeatureWindowConfig(window_len=window_len, min_pos=min_pos, min_neg=min_neg)
+        ff.FeatureWindowConfig(window_len=1, min_pos=0, min_neg=0)
 
 
 class TestAsymmetryObservable:

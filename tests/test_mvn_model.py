@@ -5,6 +5,7 @@ from scipy import integrate
 from gnssfp import mvn_model
 from gnssfp.mvn_model import (density, fit, from_moments, log_density,
                               log_mean_of_scores)
+from helpers import log_mean_oracle
 
 
 def _model(mu, sigma):
@@ -195,3 +196,30 @@ def test_log_mean_of_scores_handles_neg_inf():
     assert log_mean_of_scores([-np.inf, -np.inf]) == -np.inf
     val = log_mean_of_scores([-np.inf, np.log(2.0)])
     assert val == pytest.approx(np.log(1.0), abs=1e-12)
+
+
+def test_log_mean_of_scores_matches_per_block_oracle():
+    # disjoint and sliding blocks, some rows partly and some entirely -inf
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n = int(rng.choice([1, 2, 3, 7, 8, 9, 10, 16, 17, 37, 100]))
+        scores = rng.normal(-200.0, 80.0, size=int(rng.integers(n, 4 * n + 5)))
+        scores[rng.random(len(scores)) < 0.2] = -np.inf
+        if rng.random() < 0.3:
+            start = int(rng.integers(0, len(scores) - n + 1))
+            scores[start:start + n] = -np.inf
+        n_blocks = len(scores) // n
+        for blocks in (scores[:n_blocks * n].reshape(n_blocks, n),
+                       np.lib.stride_tricks.sliding_window_view(scores, n)):
+            out = log_mean_of_scores(blocks)
+            assert out.shape == (len(blocks),)
+            assert out.tobytes() == log_mean_oracle(blocks).tobytes()
+        assert log_mean_of_scores(scores[:n]) == log_mean_oracle(scores[:n])[0]
+
+
+def test_log_mean_of_scores_shapes():
+    assert isinstance(log_mean_of_scores([-1.0, -3.0]), float)
+    assert log_mean_of_scores(np.full((2, 3), -np.inf)).tolist() == [-np.inf, -np.inf]
+    assert log_mean_of_scores(np.empty((0, 4))).shape == (0,)
+    with pytest.raises(ValueError):
+        log_mean_of_scores(np.empty((3, 0)))

@@ -4,7 +4,7 @@ import pytest
 from gnssfp import spoof_detector as sd
 from gnssfp.spoof_detector import (DECISION_AUTHENTIC, DECISION_MALICIOUS,
                                    Decision, DetectorProfile)
-from helpers import epoch_array
+from helpers import epoch_array, log_mean_oracle
 
 
 def sweep_oracle(genuine, spoofed):
@@ -124,25 +124,14 @@ class TestTrain:
                      holdout_fraction=0.5)
 
 
-class TestClassify:
-    def _profile(self, threshold, n_avg=1):
-        from gnssfp import mvn_model
-        model = mvn_model.fit(np.random.default_rng(0).normal(size=(40, 2)))
-        return DetectorProfile(model=model, log_threshold=threshold, n_avg=n_avg)
-
-    def test_above_threshold_authentic(self):
-        assert sd.classify([-5.0], self._profile(-10.0)) == DECISION_AUTHENTIC
-
-    def test_at_threshold_malicious(self):
-        assert sd.classify([-10.0], self._profile(-10.0)) == DECISION_MALICIOUS
-
-    def test_all_zero_densities_malicious(self):
-        prof = self._profile(-1000.0, n_avg=3)
-        assert sd.classify([-np.inf] * 3, prof) == DECISION_MALICIOUS
-
-    def test_wrong_count_rejected(self):
+def test_averaging_depth_below_one_rejected():
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="n_avg must be >= 1"):
+            DetectorProfile(model=None, log_threshold=0.0, n_avg=n)
+        with pytest.raises(ValueError, match="block length must be >= 1"):
+            sd.block_log_scores([-1.0, -2.0], n)
         with pytest.raises(ValueError):
-            sd.classify([-1.0, -2.0], self._profile(-10.0, n_avg=3))
+            sd.train(np.random.default_rng(0).normal(size=(40, 2)), n_avg=n)
 
 
 class TestEvaluate:
@@ -367,7 +356,7 @@ class TestDetectStream:
                              cn0_est=40.0, clt_est=0.9)
         cfg = ff.FeatureWindowConfig(window_len=20, min_pos=3, min_neg=3)
         feats = ff.extract_features(epochs, cfg)
-        matrix = np.vstack([f.as_array() for f in feats])
+        matrix = ff.feature_matrix(feats)
         model = mvn_model.fit(np.vstack([matrix] * 3) + rng.normal(0, 1e-3, (3 * len(matrix), 6)))
         profile = DetectorProfile(model=model, log_threshold=-1e9, n_avg=2)
         decisions = sd.detect_stream(epochs, profile, cfg, prn=4)
@@ -396,3 +385,70 @@ class TestDetectStream:
         a = sd.detect_stream(epochs, profile, cfg, prn=2)
         b = sd.detect_stream(epochs, profile, cfg, prn=2)
         assert a == b
+
+    @staticmethod
+    def _stream(seed=14, n_epochs=800):
+        """Lock-passing epochs, their features (20-epoch windows) and a model
+        fitted to nearby points."""
+        from gnssfp import fingerprint_features as ff
+        from gnssfp import mvn_model
+        rng = np.random.default_rng(seed)
+        v = rng.normal(0, 4, size=n_epochs)
+        epochs = epoch_array(t=1e-3 * np.arange(n_epochs), e=0.75 * v, p=v, l=0.75 * v,
+                             cn0_est=40.0, clt_est=0.9)
+        cfg = ff.FeatureWindowConfig(window_len=20, min_pos=3, min_neg=3)
+        feats = ff.extract_features(epochs, cfg, prn=5)
+        matrix = ff.feature_matrix(feats)
+        model = mvn_model.fit(np.vstack([matrix] * 3)
+                              + rng.normal(0, 0.5, (3 * len(matrix), 6)))
+        return epochs, cfg, feats, model
+
+    def test_matches_per_block_oracle(self):
+        from gnssfp import fingerprint_features as ff
+        epochs, cfg, feats, model = self._stream()
+        scores = sd.score_features(ff.feature_matrix(feats), model)
+        threshold = float(np.median(scores))
+        for n in (1, 2, 3, 7, len(feats), len(feats) + 1):
+            profile = DetectorProfile(model=model, log_threshold=threshold, n_avg=n)
+            decisions = sd.detect_stream(epochs, profile, cfg, prn=5)
+            assert len(decisions) == max(len(feats) - n + 1, 0)
+            for i, d in enumerate(decisions):
+                expected = log_mean_oracle(scores[i:i + n])[0]
+                assert np.float64(d.log_score).tobytes() == np.float64(expected).tobytes()
+                assert d.decision == (DECISION_AUTHENTIC if expected > threshold
+                                      else DECISION_MALICIOUS)
+                assert d.t_end == feats[i + n - 1].t
+                assert d.t_start == feats[i].t - 20 * 1e-3
+                assert d.prn == 5 and d.label == "unknown"
+                assert all(type(x) is float for x in (d.t_start, d.t_end, d.log_score))
+
+    def test_threshold_at_block_mean_is_malicious(self):
+        epochs, cfg, _, model = self._stream()
+        reference = sd.detect_stream(
+            epochs, DetectorProfile(model=model, log_threshold=0.0, n_avg=3), cfg)
+        at = reference[4].log_score
+        decisions = sd.detect_stream(
+            epochs, DetectorProfile(model=model, log_threshold=at, n_avg=3), cfg)
+        assert decisions[4].log_score == at
+        assert decisions[4].decision == DECISION_MALICIOUS
+
+    def test_threshold_one_ulp_below_is_authentic(self):
+        epochs, cfg, _, model = self._stream()
+        reference = sd.detect_stream(
+            epochs, DetectorProfile(model=model, log_threshold=0.0, n_avg=3), cfg)
+        below = float(np.nextafter(reference[4].log_score, -np.inf))
+        decisions = sd.detect_stream(
+            epochs, DetectorProfile(model=model, log_threshold=below, n_avg=3), cfg)
+        assert decisions[4].decision == DECISION_AUTHENTIC
+
+    def test_all_neg_inf_block_is_malicious(self):
+        from gnssfp import mvn_model
+        epochs, cfg, feats, _ = self._stream()
+        # a mean this far away overflows every Mahalanobis distance: density 0
+        far = mvn_model.from_moments(np.full(6, 1e200), np.eye(6))
+        profile = DetectorProfile(model=far, log_threshold=-1e300, n_avg=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            decisions = sd.detect_stream(epochs, profile, cfg)
+        assert len(decisions) == len(feats) - 2
+        assert all(d.log_score == -np.inf for d in decisions)
+        assert all(d.decision == DECISION_MALICIOUS for d in decisions)
