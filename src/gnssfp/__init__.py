@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .prn_codes import CaCode, circular_correlate, generate_ca_code, sample_code
 from .signal_sim import (AttackConfig, HardwareSignature, IqStream,
                          SatelliteScenario, apply_multipath, spoof_overlay,
-                         synthesize_genuine, synthesize_nav_bits)
+                         stream_blocks, synthesize_genuine, synthesize_nav_bits)
 from .receiver_core import (EPOCH_DTYPE, AcquisitionResult, TrackingConfig,
                             TrackResult, acquire, lock_masks, track_channel)
 from .fingerprint_features import (FEATURE_DTYPE, FeatureWindowConfig,

@@ -32,6 +32,7 @@ MANIFEST_FORMAT = "gnssfp-manifest"
 MANIFEST_VERSION = 1
 
 _SAMPLE_DTYPES = {"int8": np.int8, "int16": np.int16, "float32": np.float32}
+_READ_CHUNK = 1 << 16  # samples read_iq decodes at a time
 
 
 class FormatError(ValueError):
@@ -69,12 +70,14 @@ def sidecar_path(path) -> str:
     return str(path) + ".meta.json"
 
 
-def write_iq(stream: IqStream, path, meta: CaptureMeta) -> None:
+def write_iq(stream: IqStream, path, meta: CaptureMeta, append: bool = False) -> None:
     """Write interleaved I,Q in the declared format plus a JSON sidecar.
 
     Exact inverse of read_iq for values representable in the format.
     Integer formats reject any sample whose scaled value falls outside
-    [-2^(bits-1), 2^(bits-1) - 1], naming the first offending index.
+    [-2^(bits-1), 2^(bits-1) - 1], naming the first offending index. With
+    `append` the payload goes to the end of the existing file, the sidecar
+    is left as it is, and that index counts from the start of the file.
     """
     # complex64 memory is already interleaved I,Q float32.
     inter = np.ascontiguousarray(stream.samples, dtype=np.complex64).view(np.float32)
@@ -93,17 +96,74 @@ def write_iq(stream: IqStream, path, meta: CaptureMeta) -> None:
         bad = np.flatnonzero((scaled < -full) | (scaled > full - 1))
         if bad.size:
             i = int(bad[0])
+            first = os.path.getsize(str(path)) // (bits // 4) if append else 0
             raise ValueError(
-                f"sample {i // 2} ({'IQ'[i % 2]} component, value {float(inter[i])!r}) "
+                f"sample {first + i // 2} ({'IQ'[i % 2]} component, value {float(inter[i])!r}) "
                 f"is not representable in {meta.sample_format}: values must lie "
                 f"in [-1, 1 - 2^-{bits - 1}]")
         payload = scaled.astype(meta.dtype)
 
-    payload.tofile(str(path))
-    with open(sidecar_path(path), "w", encoding="utf-8") as f:
-        json.dump({"format": "gnssfp-capture", "version": 1, **asdict(meta)},
-                  f, indent=2, sort_keys=True)
-        f.write("\n")
+    with open(str(path), "ab" if append else "wb") as f:
+        payload.tofile(f)
+    if not append:
+        with open(sidecar_path(path), "w", encoding="utf-8") as f:
+            json.dump({"format": "gnssfp-capture", "version": 1, **asdict(meta)},
+                      f, indent=2, sort_keys=True)
+            f.write("\n")
+
+
+class CaptureWriter:
+    """Write a capture block by block: the IQ payload and its sidecar at
+    `path`, and the labels as a .npy array of `n_samples` entries.
+
+    Use it as a context manager and `write` each IqStream block in order.
+    The files are written under temporary names and renamed into place when
+    the `with` block ends without error, so a failed write leaves no
+    payload, sidecar or labels file behind.
+    """
+
+    def __init__(self, path, meta: CaptureMeta, labels_path, n_samples: int):
+        self.path, self.labels_path = str(path), str(labels_path)
+        self.meta, self.n_samples = meta, n_samples
+        self.written = 0
+        self._partial = {self.path: self.path + ".partial",
+                         sidecar_path(self.path): sidecar_path(self.path + ".partial"),
+                         self.labels_path: self.labels_path + ".partial"}
+
+    def __enter__(self) -> "CaptureWriter":
+        try:
+            write_iq(IqStream(np.zeros(0, np.complex64), self.meta.sample_rate),
+                     self._partial[self.path], self.meta)
+            self._labels = open(self._partial[self.labels_path], "wb")
+        except BaseException:
+            self._remove_partial()
+            raise
+        header = np.lib.format.header_data_from_array_1_0(np.zeros(0, dtype=np.uint8))
+        np.lib.format.write_array_header_1_0(self._labels,
+                                             {**header, "shape": (self.n_samples,)})
+        return self
+
+    def write(self, block: IqStream) -> None:
+        write_iq(block, self._partial[self.path], self.meta, append=True)
+        np.asarray(block.labels, dtype=np.uint8).tofile(self._labels)
+        self.written += len(block.samples)
+
+    def _remove_partial(self) -> None:
+        for partial in self._partial.values():
+            if os.path.exists(partial):
+                os.remove(partial)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._labels.close()
+        if exc_type is None and self.written != self.n_samples:
+            self._remove_partial()
+            raise ValueError(f"{self.path}: wrote {self.written} samples, "
+                             f"expected {self.n_samples}")
+        if exc_type is not None:
+            self._remove_partial()
+            return
+        for final, partial in self._partial.items():
+            os.replace(partial, final)
 
 
 def read_meta(path) -> CaptureMeta:
@@ -143,26 +203,25 @@ def read_iq(path, meta: CaptureMeta | None = None, decimate: int = 1,
         raise ValueError(f"offset {offset_samples} beyond capture of {total} samples")
     n_read = total - offset_samples if count is None else min(count, total - offset_samples)
 
-    raw = np.fromfile(str(path), dtype=meta.dtype, count=2 * n_read,
-                      offset=offset_samples * block)
-    i_part, q_part = raw[0::2 * decimate], raw[1::2 * decimate]
-    if meta.iq_swap:
-        i_part, q_part = q_part, i_part
-    # Decoded straight into complex64: int8/int16 values and their scaling
-    # by a power of two are exact in float32.
-    samples = np.empty(len(i_part), dtype=np.complex64)
-    samples.real = i_part
-    samples.imag = q_part
-    if meta.sample_format != "float32":
-        samples /= np.float32(1 << (8 * width - 1))
+    # Decoded chunk by chunk straight into one complex64 array: int8/int16
+    # values and their scaling by a power of two are exact in float32.
+    samples = np.empty(-(-n_read // decimate), dtype=np.complex64)
+    with open(str(path), "rb") as f:
+        for j0 in range(0, len(samples), _READ_CHUNK):
+            part = samples[j0:j0 + _READ_CHUNK]
+            f.seek((offset_samples + j0 * decimate) * block)
+            raw = np.fromfile(f, dtype=meta.dtype, count=2 * ((len(part) - 1) * decimate + 1))
+            i_part, q_part = raw[0::2 * decimate], raw[1::2 * decimate]
+            if meta.iq_swap:
+                i_part, q_part = q_part, i_part
+            part.real = i_part
+            part.imag = q_part
+            if meta.sample_format != "float32":
+                part /= np.float32(1 << (8 * width - 1))
     if labels is not None:
         labels = np.asarray(labels, dtype=np.uint8)[offset_samples:offset_samples + n_read:decimate]
     return IqStream(samples, meta.sample_rate / decimate,
                     t0=meta.t0 + offset_samples / meta.sample_rate, labels=labels)
-
-
-def save_labels(stream: IqStream, path) -> None:
-    np.save(str(path), stream.labels)
 
 
 def load_labels(path) -> np.ndarray:

@@ -25,15 +25,17 @@ from .capture_io import (CaptureMeta, DatasetManifest, FormatError,
                          load_model, load_window_config)
 from .fingerprint_features import FeatureWindowConfig, extract_features, feature_matrix
 from .receiver_core import (EPOCH_DTYPE, LOCK_FAIL_BOTH, LOCK_FAIL_CARRIER,
-                            LOCK_FAIL_CODE, LOCK_PASS, TrackingConfig, acquire,
-                            lock_masks, track_channel)
-from .signal_sim import (AttackConfig, HardwareSignature, IqStream, SatelliteScenario,
-                         apply_multipath, spoof_overlay, synthesize_genuine)
+                            LOCK_FAIL_CODE, LOCK_PASS, TrackingConfig, TrackResult,
+                            acquire, lock_masks, track_channel)
+from .signal_sim import AttackConfig, HardwareSignature, IqStream, SatelliteScenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_ALARM = 3
+
+# Run-record status of a channel that `detect --epochs` read from an epoch CSV.
+_EPOCH_CSV_STATUS = "epoch_csv"
 
 
 class ScenarioError(ValueError):
@@ -147,22 +149,29 @@ def load_scenario(path: str) -> dict:
     }
 
 
+def _stream_blocks(cfg: dict):
+    """A loaded scenario's stream in consecutive blocks: genuine signals, then
+    multipath, then the attack on the satellites named in `attack.targets`
+    (all when unnamed)."""
+    targets = cfg["satellites"]
+    if cfg["attack_targets"]:
+        wanted = set(cfg["attack_targets"])
+        targets = [s for s in targets if s.prn in wanted]
+    return signal_sim.stream_blocks(cfg["satellites"], cfg["sample_rate"], cfg["duration"],
+                                    cfg["noise_seed"], cfg["noise_power"], cfg["add_noise"],
+                                    cfg["multipath"], cfg["attack"], targets)
+
+
 def build_stream(cfg: dict) -> IqStream:
-    """Synthesize a loaded scenario: genuine signals, then multipath, then the
-    attack on the satellites named in `attack.targets` (all when unnamed)."""
-    stream = synthesize_genuine(cfg["satellites"], cfg["sample_rate"], cfg["duration"],
-                                cfg["noise_seed"], cfg["noise_power"],
-                                add_noise=cfg["add_noise"])
-    if cfg["multipath"]:
-        stream = apply_multipath(stream, cfg["multipath"])
-    if cfg["attack"] is not None:
-        targets = cfg["satellites"]
-        if cfg["attack_targets"]:
-            wanted = set(cfg["attack_targets"])
-            targets = [s for s in targets if s.prn in wanted]
-        stream = spoof_overlay(stream, cfg["attack"], targets,
-                               cfg["noise_seed"], cfg["noise_power"])
-    return stream
+    """Synthesize a loaded scenario whole: the blocks of `simulate`, joined."""
+    n = signal_sim.sample_count(cfg["sample_rate"], cfg["duration"])
+    samples, labels = np.empty(n, dtype=np.complex64), np.empty(n, dtype=np.uint8)
+    i = 0
+    for block in _stream_blocks(cfg):
+        samples[i:i + len(block.samples)] = block.samples
+        labels[i:i + len(block.samples)] = block.labels
+        i += len(block.samples)
+    return IqStream(samples, cfg["sample_rate"], labels=labels)
 
 
 def _write_run_record(out_dir: str, subcommand: str, config_bytes: bytes | None,
@@ -184,13 +193,16 @@ def cmd_simulate(args) -> int:
         config_bytes = f.read()
     cfg = load_scenario(args.scenario)
     os.makedirs(args.out, exist_ok=True)
-    stream = build_stream(cfg)
 
+    # One block in memory at a time, from synthesis to the files.
     capture_path = os.path.join(args.out, "capture.iq")
     meta = CaptureMeta(sample_rate=cfg["sample_rate"], sample_format=args.format,
                        t0=0.0, notes=f"synthesized from {os.path.basename(args.scenario)}")
-    capture_io.write_iq(stream, capture_path, meta)
-    capture_io.save_labels(stream, os.path.join(args.out, "labels.npy"))
+    n = signal_sim.sample_count(cfg["sample_rate"], cfg["duration"])
+    with capture_io.CaptureWriter(capture_path, meta, os.path.join(args.out, "labels.npy"),
+                                  n) as writer:
+        for block in _stream_blocks(cfg):
+            writer.write(block)
 
     m = cfg["meta"]
     attack = cfg["attack"]
@@ -209,7 +221,7 @@ def cmd_simulate(args) -> int:
     capture_io.save_manifest(manifest, os.path.join(args.out, "manifest.json"))
     _write_run_record(args.out, "simulate", config_bytes,
                       {"noise_seed": cfg["noise_seed"]})
-    print(f"wrote {capture_path} ({len(stream.samples)} samples at "
+    print(f"wrote {capture_path} ({n} samples at "
           f"{cfg['sample_rate']:.0f} Hz), manifest, labels")
     return EXIT_OK
 
@@ -231,16 +243,25 @@ def _track_prns(stream: IqStream, args, trk_cfg: TrackingConfig) -> list:
 
 
 def _channel_record(prn: int, track, acq) -> dict:
-    """Run-record entry of one requested PRN; an infinite peak metric is null."""
+    """Run-record entry of one requested PRN. The peak metric is null when
+    infinite or, for epochs read from a CSV (no `acq`), unknown."""
     epochs = track.epochs if track else np.zeros(0, dtype=EPOCH_DTYPE)
     code_ok, carrier_ok = lock_masks(epochs, TrackingConfig())
     return {"prn": prn, "epochs": len(epochs),
             "status": track.status if track else "not_acquired",
-            "peak_metric": acq.peak_metric if np.isfinite(acq.peak_metric) else None,
+            "peak_metric": (acq.peak_metric if acq and np.isfinite(acq.peak_metric)
+                            else None),
             "lock_outcomes": {LOCK_PASS: int(np.sum(code_ok & carrier_ok)),
                               LOCK_FAIL_CODE: int(np.sum(~code_ok & carrier_ok)),
                               LOCK_FAIL_CARRIER: int(np.sum(code_ok & ~carrier_ok)),
                               LOCK_FAIL_BOTH: int(np.sum(~code_ok & ~carrier_ok))}}
+
+
+def _channels_record(capture, results) -> dict:
+    """Run-record fields of `track` and `detect`: the capture, the requested
+    PRNs and one `_channel_record` per PRN."""
+    return {"capture": capture, "prns": [prn for prn, _, _ in results],
+            "channels": [_channel_record(*result) for result in results]}
 
 
 def cmd_track(args) -> int:
@@ -259,9 +280,7 @@ def cmd_track(args) -> int:
         print(f"PRN {prn:2d}: {len(track.epochs)} epochs, {track.status}, "
               f"doppler {acq_result.doppler:+.1f} Hz -> {path}")
         any_tracked = True
-    _write_run_record(args.out, "track", None, {
-        "capture": args.capture, "prns": [prn for prn, _, _ in results],
-        "channels": [_channel_record(*result) for result in results]})
+    _write_run_record(args.out, "track", None, _channels_record(args.capture, results))
     return EXIT_OK if any_tracked else EXIT_DATA
 
 
@@ -370,16 +389,20 @@ def cmd_detect(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     if args.epochs:
-        channels = [(_epoch_file_prn(path), capture_io.read_epochs_csv(path))
-                    for path in args.epochs]
+        results = []
+        for path in args.epochs:
+            prn = _epoch_file_prn(path)
+            epochs = capture_io.read_epochs_csv(path)
+            results.append((prn, TrackResult(prn, _EPOCH_CSV_STATUS, epochs), None))
         label_ivs = []
     else:
         stream = capture_io.read_iq(args.capture)
         if args.labels:
             stream.labels = capture_io.load_labels(args.labels)
-        channels = [(prn, track.epochs if track else None)
-                    for prn, track, _ in _track_prns(stream, args, trk_cfg)]
+        results = _track_prns(stream, args, trk_cfg)
         label_ivs = signal_sim.label_intervals(stream)
+    channels = [(prn, track.epochs if track else None) for prn, track, _ in results]
+    _write_run_record(args.out, "detect", None, _channels_record(args.capture, results))
 
     decisions_by_prn = {}
     all_decisions = []

@@ -21,6 +21,19 @@ offset, the phase walk and the nav bit with its polarity gain (as in
 GNSS-SDR's volk_32fc_s32fc_x2_rotator_32fc kernel). A bit edge can only fall
 where the code wraps, at the same in-tile sample every epoch, so an epoch
 needs one scalar before that sample and one after it.
+
+A scenario's stream is produced in blocks (stream_blocks): each block is
+synthesized, passed through multipath and overlaid by the attack before
+the next is started, so memory is bounded by the block, not the stream.
+Each stage keeps a carry between blocks: the satellites' tiles and epoch
+scalars and the noise generator (synthesize_genuine), the last max-delay
+input samples (apply_multipath), and the attacker's satellites or replay
+chain with the genuine samples the replay FIR still needs
+(spoof_overlay). Tiles, scalars and the phase walks are computed once per
+stream. Every sample depends only on its index and the draws are taken in
+sample order, so the blocks join bit for bit into the stream that the
+whole-stream calls give, whatever the block size; the attacker is only
+synthesized or filtered from the takeover on.
 """
 
 from __future__ import annotations
@@ -39,7 +52,9 @@ SUBFRAME_PREAMBLE = (1, 0, 0, 0, 1, 0, 1, 1)
 # One C/A code period: the synthesis tile length and the step of the phase
 # random walk and of the per-epoch carrier rotator.
 SIM_EPOCH = 1e-3
-_BLOCK_EPOCHS = 64  # epochs written to the output per block
+_BLOCK_EPOCHS = 64  # whole epochs a satellite adds per 2-D view of the output
+_NOISE_CHUNK = 1 << 20  # samples of noise drawn at once
+BLOCK_SAMPLES = 1 << 16  # samples per block of stream_blocks (32 ms at 2.048 MHz)
 
 LABEL_GENUINE = 0
 LABEL_SPOOFED = 1
@@ -154,9 +169,6 @@ class IqStream:
     def duration(self) -> float:
         return len(self.samples) / self.sample_rate
 
-    def copy(self) -> "IqStream":
-        return IqStream(self.samples.copy(), self.sample_rate, self.t0, self.labels.copy())
-
 
 def label_intervals(iq: IqStream) -> list:
     """Run-length encode the per-sample labels into (t_start, t_end, name) spans."""
@@ -217,80 +229,129 @@ def samples_per_epoch(sample_rate: float) -> int:
     return epoch_len
 
 
-def _synthesize_satellite(scenario: SatelliteScenario, sample_rate: float, n: int,
-                          amplitude: float, phase_seed: int,
-                          out: np.ndarray) -> None:
-    """Accumulate one satellite's clean signal into `out` (complex64, length n).
+def sample_count(sample_rate: float, duration: float) -> int:
+    """Samples in a stream of `duration` seconds."""
+    return int(round(duration * sample_rate))
+
+
+class _Satellite:
+    """One satellite's clean signal over a stream of n samples.
 
     Sample i = E*k + r of epoch k is tile[r] times one complex scalar of
     epoch k, amp(bit) * bit * exp(j(omega*E*k + phi0 + walk[k])). The bit
     can only change where the code wraps, at the fixed in-tile sample
     `wrap`, so each epoch has a scalar before the wrap and one after it.
+    The tile and every epoch's scalars are computed once; `add` then fills
+    any window of the stream.
     """
-    sig = scenario.signature
-    epoch_len = samples_per_epoch(sample_rate)
-    n_sim_epochs = -(-n // epoch_len)
 
-    # The tile: nearest-chip code, FIR applied circularly over the period,
-    # and the carrier's advance within the epoch.
-    chips = generate_ca_code(scenario.prn).chips.astype(np.float64)
-    taps = np.asarray(sig.filter_taps, dtype=np.float64)
-    pad = len(taps)
-    step = CHIP_RATE / sample_rate
-    omega = 2.0 * np.pi * scenario.doppler / sample_rate
-    r = np.arange(epoch_len, dtype=np.float64)
-    phase_chips = scenario.code_phase0 + step * r
-    raw = chips[np.mod(phase_chips, float(CODE_LENGTH)).astype(np.int64)]
-    filt = np.convolve(np.pad(raw, pad, mode="wrap"), taps, mode="same")[pad:pad + epoch_len]
-    tile = (filt * np.exp(1j * omega * r)).astype(np.complex64)
-    period = np.floor(phase_chips / CODE_LENGTH)
-    wrap = int(np.searchsorted(period, period[0] + 1.0))
+    def __init__(self, scenario: SatelliteScenario, sample_rate: float, n: int,
+                 amplitude: float, phase_seed: int):
+        sig = scenario.signature
+        epoch_len = samples_per_epoch(sample_rate)
+        n_sim_epochs = -(-n // epoch_len)
 
-    # Bit edges ride the code timeline: one bit per 20 code periods of
-    # elapsed chips, so edges generally fall off the receiver's epoch grid.
-    chips_per_bit = CHIP_RATE / NAV_BIT_RATE
-    bits = synthesize_nav_bits(scenario.prn, scenario.nav_seed,
-                               n / sample_rate + scenario.code_phase0 / CHIP_RATE
-                               + 2.0 / NAV_BIT_RATE)
-    g = sig.gain_asymmetry
-    norm = np.sqrt((g * g + 1.0) / 2.0)
-    amp_pos = amplitude * g / norm
-    amp_neg = amplitude / norm
+        # The tile: nearest-chip code, FIR applied circularly over the period,
+        # and the carrier's advance within the epoch.
+        chips = generate_ca_code(scenario.prn).chips.astype(np.float64)
+        taps = np.asarray(sig.filter_taps, dtype=np.float64)
+        pad = len(taps)
+        step = CHIP_RATE / sample_rate
+        omega = 2.0 * np.pi * scenario.doppler / sample_rate
+        r = np.arange(epoch_len, dtype=np.float64)
+        phase_chips = scenario.code_phase0 + step * r
+        raw = chips[np.mod(phase_chips, float(CODE_LENGTH)).astype(np.int64)]
+        filt = np.convolve(np.pad(raw, pad, mode="wrap"), taps, mode="same")[pad:pad + epoch_len]
+        self.tile = (filt * np.exp(1j * omega * r)).astype(np.complex64)
+        period = np.floor(phase_chips / CODE_LENGTH)
+        self.wrap = int(np.searchsorted(period, period[0] + 1.0))
+        self.epoch_len, self.n = epoch_len, n
 
-    # Phase random walk advances once per SIM_EPOCH.
-    rng = _signature_rng(phase_seed, scenario.prn)
-    if sig.phase_noise_std > 0:
-        walk = np.cumsum(rng.normal(0.0, sig.phase_noise_std, n_sim_epochs))
-    else:
-        walk = np.zeros(n_sim_epochs)
-    first = np.arange(n_sim_epochs) * float(epoch_len)
-    rotator = np.exp(1j * (omega * first + scenario.carrier_phase0 + walk))
+        # Bit edges ride the code timeline: one bit per 20 code periods of
+        # elapsed chips, so edges generally fall off the receiver's epoch grid.
+        chips_per_bit = CHIP_RATE / NAV_BIT_RATE
+        bits = synthesize_nav_bits(scenario.prn, scenario.nav_seed,
+                                   n / sample_rate + scenario.code_phase0 / CHIP_RATE
+                                   + 2.0 / NAV_BIT_RATE)
+        g = sig.gain_asymmetry
+        norm = np.sqrt((g * g + 1.0) / 2.0)
+        amp_pos = amplitude * g / norm
+        amp_neg = amplitude / norm
 
-    def epoch_scalars(first_sample):
-        b = bits[((scenario.code_phase0 + step * first_sample)
-                  / chips_per_bit).astype(np.int64)]
-        return (np.where(b > 0, amp_pos, amp_neg) * b * rotator).astype(np.complex64)
+        # Phase random walk advances once per SIM_EPOCH.
+        rng = _signature_rng(phase_seed, scenario.prn)
+        if sig.phase_noise_std > 0:
+            walk = np.cumsum(rng.normal(0.0, sig.phase_noise_std, n_sim_epochs))
+        else:
+            walk = np.zeros(n_sim_epochs)
+        first = np.arange(n_sim_epochs) * float(epoch_len)
+        rotator = np.exp(1j * (omega * first + scenario.carrier_phase0 + walk))
 
-    before = epoch_scalars(first)
-    after = epoch_scalars(first + wrap)
+        def epoch_scalars(first_sample):
+            b = bits[((scenario.code_phase0 + step * first_sample)
+                      / chips_per_bit).astype(np.int64)]
+            return (np.where(b > 0, amp_pos, amp_neg) * b * rotator).astype(np.complex64)
 
-    def accumulate(block, k0):
+        self.before = epoch_scalars(first)
+        self.after = epoch_scalars(first + self.wrap)
+
+    def _accumulate(self, block: np.ndarray, k0: int) -> None:
+        """Add epochs k0, k0 + 1, ... into the rows of `block`."""
         k1 = k0 + block.shape[0]
-        t = tile[:block.shape[1]]
-        block[:, :wrap] += before[k0:k1, None] * t[:wrap]
-        block[:, wrap:] += after[k0:k1, None] * t[wrap:]
+        t = self.tile[:block.shape[1]]
+        block[:, :self.wrap] += self.before[k0:k1, None] * t[:self.wrap]
+        block[:, self.wrap:] += self.after[k0:k1, None] * t[self.wrap:]
 
-    n_full = n // epoch_len
-    for k0 in range(0, n_full, _BLOCK_EPOCHS):
-        k1 = min(k0 + _BLOCK_EPOCHS, n_full)
-        accumulate(out[k0 * epoch_len:k1 * epoch_len].reshape(k1 - k0, epoch_len), k0)
-    if n_full < n_sim_epochs:
-        accumulate(out[n_full * epoch_len:n].reshape(1, -1), n_full)
+    def add(self, out: np.ndarray, start: int) -> None:
+        """Accumulate stream samples [start, start + len(out)) into `out`.
+
+        An epoch the window cuts is computed whole, as the stream's last,
+        shorter epoch is, and only its part inside the window is added, so
+        each sample gets the same bits whatever the window.
+        """
+        epoch_len = self.epoch_len
+        stop = start + len(out)
+        k_lo, k_hi = -(-start // epoch_len), stop // epoch_len  # epochs wholly inside
+        for k0 in range(k_lo, k_hi, _BLOCK_EPOCHS):
+            k1 = min(k0 + _BLOCK_EPOCHS, k_hi)
+            rows = out[k0 * epoch_len - start:k1 * epoch_len - start]
+            self._accumulate(rows.reshape(k1 - k0, epoch_len), k0)
+        for k in {k_lo - 1, k_hi}:
+            a, b = max(k * epoch_len, start), min((k + 1) * epoch_len, stop)
+            if a < b:
+                row = np.zeros((1, min(epoch_len, self.n - k * epoch_len)), dtype=np.complex64)
+                self._accumulate(row, k)
+                out[a - start:b - start] += row[0, a - k * epoch_len:b - k * epoch_len]
+
+
+class _GenuineCarry:
+    """What synthesize_genuine carries from one block to the next: each
+    satellite's tile and epoch scalars, the noise generator and the next
+    sample's index."""
+
+    def __init__(self, scenarios, sample_rate, duration, noise_seed, noise_power, add_noise,
+                 block_samples=None):
+        samples_per_epoch(sample_rate)
+        prns = [s.prn for s in scenarios]
+        if len(set(prns)) != len(prns):
+            raise ValueError(f"duplicate PRNs in scenario list: {sorted(prns)}")
+        self.n = sample_count(sample_rate, duration)
+        self.block = self.n if block_samples is None else block_samples
+        self.satellites = [
+            _Satellite(scen, sample_rate, self.n,
+                       _satellite_amplitude(scen.cn0, noise_power, sample_rate), noise_seed)
+            for scen in scenarios]
+        self.noise = None
+        if add_noise and noise_power > 0:
+            self.noise = np.random.default_rng([int(noise_seed) & 0xFFFFFFFF, 0xA3])
+        self.sigma = np.sqrt(noise_power / 2.0)
+        self.pos = 0
 
 
 def synthesize_genuine(scenarios, sample_rate: float = DEFAULT_SAMPLE_RATE,
                        duration: float = 1.0, noise_seed: int = 0,
-                       noise_power: float = 1.0, add_noise: bool = True) -> IqStream:
+                       noise_power: float = 1.0, add_noise: bool = True,
+                       carry: _GenuineCarry | None = None) -> IqStream:
     """Synthesize the genuine multi-satellite baseband stream.
 
     Each satellite contributes amp * gain(bit) * (code (*) fir) * bit *
@@ -298,95 +359,167 @@ def synthesize_genuine(scenarios, sample_rate: float = DEFAULT_SAMPLE_RATE,
     noise_power per sample is added on top when add_noise is set. All labels
     are "genuine". Raises ValueError unless sample_rate is at least two
     samples per chip and a whole number of samples per SIM_EPOCH.
+
+    Without `carry` the result is the whole stream. `stream_blocks` passes
+    a carry made from the same arguments, and each call then returns the
+    stream's next block, its t0 the time of its first sample.
     """
-    samples_per_epoch(sample_rate)
-    prns = [s.prn for s in scenarios]
-    if len(set(prns)) != len(prns):
-        raise ValueError(f"duplicate PRNs in scenario list: {sorted(prns)}")
-    n = int(round(duration * sample_rate))
-
-    out = np.zeros(n, dtype=np.complex64)
-    for scen in scenarios:
-        amp = _satellite_amplitude(scen.cn0, noise_power, sample_rate)
-        _synthesize_satellite(scen, sample_rate, n, amp, noise_seed, out)
-
-    if add_noise and noise_power > 0:
-        rng = np.random.default_rng([int(noise_seed) & 0xFFFFFFFF, 0xA3])
-        sigma = np.sqrt(noise_power / 2.0)
-        chunk = 1 << 20
-        for i0 in range(0, n, chunk):
-            m = min(chunk, n - i0)
-            noise = rng.standard_normal(2 * m)
-            noise *= sigma
-            interleaved = out[i0:i0 + m].view(np.float32)
+    if carry is None:
+        carry = _GenuineCarry(scenarios, sample_rate, duration, noise_seed, noise_power,
+                              add_noise)
+    start = carry.pos
+    m = min(carry.block, carry.n - start)
+    out = np.zeros(m, dtype=np.complex64)
+    for sat in carry.satellites:
+        sat.add(out, start)
+    if carry.noise is not None:
+        # One float64 draw per I,Q pair in sample order, so any block size
+        # takes the same values from the generator.
+        for i0 in range(0, m, _NOISE_CHUNK):
+            noise = carry.noise.standard_normal(2 * min(_NOISE_CHUNK, m - i0))
+            noise *= carry.sigma
+            interleaved = out[i0:i0 + len(noise) // 2].view(np.float32)
             interleaved += noise
+    carry.pos += m
+    return IqStream(out, sample_rate, t0=start / sample_rate,
+                    labels=np.full(m, LABEL_GENUINE, dtype=np.uint8))
 
-    return IqStream(out, sample_rate, t0=0.0,
-                    labels=np.full(n, LABEL_GENUINE, dtype=np.uint8))
+
+class _MultipathCarry:
+    """What apply_multipath carries from one block to the next: the last
+    input samples as far back as the longest delay."""
+
+    def __init__(self, taps, sample_rate: float, n: int):
+        self.taps = []  # (delay in samples, complex64 gain), delays shorter than the stream
+        for delay, gain in taps:
+            if delay < 0:
+                raise ValueError(f"multipath delay must be >= 0, got {delay}")
+            d = int(round(delay * sample_rate))
+            if d < n:
+                self.taps.append((d, np.complex64(gain)))
+        self.depth = max((d for d, _ in self.taps), default=0)
+        self.tail = np.zeros(0, dtype=np.complex64)
+        self.pos = 0
 
 
-def apply_multipath(iq: IqStream, taps) -> IqStream:
+def apply_multipath(iq: IqStream, taps, carry: _MultipathCarry | None = None) -> IqStream:
     """Superpose delayed, scaled copies: out = sum_k gain_k * iq(t - delay_k).
 
     Delays are quantized to the sample grid; labels pass through unchanged.
-    An empty tap list yields an all-zero stream.
+    An empty tap list yields an all-zero stream. Without `carry`, `iq` is
+    the whole stream; with the carry `stream_blocks` passes, it is the
+    stream's next block.
     """
-    n = len(iq.samples)
-    out = np.zeros(n, dtype=np.complex64)
-    for delay, gain in taps:
-        if delay < 0:
-            raise ValueError(f"multipath delay must be >= 0, got {delay}")
-        d = int(round(delay * iq.sample_rate))
-        if d >= n:
-            continue
-        out[d:] += (np.complex64(gain) * iq.samples[:n - d])
+    if carry is None:
+        carry = _MultipathCarry(taps, iq.sample_rate, len(iq.samples))
+    m, start, back = len(iq.samples), carry.pos, len(carry.tail)
+    # ext[j] is stream sample start - back + j
+    ext = np.concatenate([carry.tail, iq.samples]) if back else iq.samples
+    out = np.zeros(m, dtype=np.complex64)
+    for d, gain in carry.taps:
+        a = max(d - start, 0)  # first output sample this delay reaches
+        if a < m:
+            out[a:] += gain * ext[back + a - d:back + m - d]
+    carry.tail = ext[max(len(ext) - carry.depth, 0):].copy()
+    carry.pos += m
     return IqStream(out, iq.sample_rate, iq.t0, iq.labels.copy())
 
 
-def _apply_replay_chain(x: np.ndarray, sig: HardwareSignature, sample_rate: float,
-                        seed: int) -> np.ndarray:
-    """Pass a captured stream through the replay transmitter's chain.
+class _ReplayChain:
+    """The replay transmitter's chain: the signature's FIR, its polarity
+    gain imbalance and its per-epoch phase walk, in float32 arithmetic.
 
-    Float32 arithmetic throughout to stay within desk-scale memory; an
-    identity signature skips every stage and returns the input bit-exact.
+    An identity signature skips every stage and returns the input bit-exact.
     """
-    taps = np.asarray(sig.filter_taps, dtype=np.float32)
-    re = x.real.astype(np.float32, copy=True)
-    im = x.imag.astype(np.float32, copy=True)
-    if len(taps) > 1:
-        re = np.convolve(re, taps, mode="same")
-        im = np.convolve(im, taps, mode="same")
-    elif taps[0] != 1.0:
-        re *= taps[0]
-        im *= taps[0]
 
-    g = sig.gain_asymmetry
-    if g != 1.0:
-        # polarity imbalance of the replay chain, applied by in-phase sign
+    def __init__(self, sig: HardwareSignature, sample_rate: float, n: int, seed: int):
+        self.taps = np.asarray(sig.filter_taps, dtype=np.float32)
+        # A window filtered in 'same' mode matches the whole stream's output
+        # when it carries a filter length of input on each side.
+        self.margin = len(self.taps) if len(self.taps) > 1 else 0
+        g = sig.gain_asymmetry
         norm = np.sqrt((g * g + 1.0) / 2.0)
-        scale = np.where(re > 0, np.float32(g / norm), np.float32(1.0 / norm))
-        re *= scale
-        im *= scale
-        del scale
+        self.gains = None if g == 1.0 else (np.float32(g / norm), np.float32(1.0 / norm))
+        self.epoch_len = int(round(sample_rate * SIM_EPOCH))
+        self.cos = self.sin = None
+        if sig.phase_noise_std > 0:
+            # float32 cos/sin of the walk per epoch equal those of each sample.
+            rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, 0x9E])
+            n_epochs = -(-n // self.epoch_len)
+            walk = np.cumsum(rng.normal(0.0, sig.phase_noise_std, n_epochs)).astype(np.float32)
+            self.cos, self.sin = np.cos(walk), np.sin(walk)
 
-    if sig.phase_noise_std > 0:
-        rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, 0x9E])
-        chunk = int(round(sample_rate * SIM_EPOCH))
-        n_chunks = -(-len(re) // chunk)
-        walk = np.repeat(np.cumsum(rng.normal(0.0, sig.phase_noise_std, n_chunks)),
-                         chunk)[:len(re)].astype(np.float32)
-        c, s = np.cos(walk), np.sin(walk)
-        del walk
-        re, im = re * c - im * s, im * c + re * s
+    def apply(self, ext: np.ndarray, lo: int, start: int, stop: int) -> np.ndarray:
+        """The chain's output at stream samples [start, stop), given the input
+        samples [lo, lo + len(ext)): `margin` samples either side of the
+        window, or up to the stream's ends."""
+        re = ext.real.astype(np.float32, copy=True)
+        im = ext.imag.astype(np.float32, copy=True)
+        if len(self.taps) > 1:
+            re = np.convolve(re, self.taps, mode="same")
+            im = np.convolve(im, self.taps, mode="same")
+        elif self.taps[0] != 1.0:
+            re *= self.taps[0]
+            im *= self.taps[0]
+        re, im = re[start - lo:stop - lo], im[start - lo:stop - lo]
 
-    y = np.empty(len(re), dtype=np.complex64)
-    y.real = re
-    y.imag = im
-    return y
+        if self.gains is not None:
+            # polarity imbalance of the replay chain, applied by in-phase sign
+            scale = np.where(re > 0, *self.gains)
+            re *= scale
+            im *= scale
+
+        if self.cos is not None:
+            k0, k1 = start // self.epoch_len, -(-stop // self.epoch_len)
+            window = slice(start - k0 * self.epoch_len, stop - k0 * self.epoch_len)
+            c = np.repeat(self.cos[k0:k1], self.epoch_len)[window]
+            s = np.repeat(self.sin[k0:k1], self.epoch_len)[window]
+            re, im = re * c - im * s, im * c + re * s
+
+        y = np.empty(stop - start, dtype=np.complex64)
+        y.real = re
+        y.imag = im
+        return y
+
+
+class _OverlayCarry:
+    """What spoof_overlay carries from one block to the next: the attacker's
+    satellites or replay chain, the genuine samples the replay FIR still
+    needs and the next output sample's index."""
+
+    def __init__(self, attack: AttackConfig, target_scenarios, sample_rate: float, n: int,
+                 t0: float, noise_seed: int, noise_power: float):
+        if attack.mode == "replay" and n == 0:
+            raise ValueError("replay attack requires a recorded source stream")
+        self.n, self.t0 = n, t0
+        self.k0 = min(max(int(round((attack.takeover_time - t0) * sample_rate)), 0), n)
+        self.scale = 10.0 ** (attack.power_offset_db / 20.0)
+        self.label = (LABEL_MIXED if attack.seamless and attack.power_offset_db < 0
+                      else LABEL_SPOOFED)
+        self.chain, self.satellites, self.margin = None, [], 0
+        if self.k0 < n and attack.mode == "replay":
+            self.chain = _ReplayChain(attack.spoofer_signature, sample_rate, n,
+                                      attack.attack_seed)
+            self.margin = self.chain.margin
+        elif self.k0 < n:
+            # The attacker, and the negated clean genuine signal when the
+            # takeover removes it, summed in one buffer.
+            for scen in target_scenarios:
+                amp = _satellite_amplitude(scen.cn0, noise_power, sample_rate)
+                self.satellites.append(
+                    _Satellite(replace(scen, signature=attack.spoofer_signature),
+                               sample_rate, n, amp * self.scale, attack.attack_seed))
+                if not attack.seamless:
+                    self.satellites.append(_Satellite(scen, sample_rate, n, -amp, noise_seed))
+        self.held = np.zeros(0, dtype=np.complex64)
+        self.held_labels = np.zeros(0, dtype=np.uint8)
+        self.held_from = 0  # stream index of held[0]
+        self.pos = 0
 
 
 def spoof_overlay(genuine: IqStream, attack: AttackConfig, target_scenarios,
-                  noise_seed: int = 0, noise_power: float = 1.0) -> IqStream:
+                  noise_seed: int = 0, noise_power: float = 1.0,
+                  carry: _OverlayCarry | None = None) -> IqStream:
     """Overlay an attacker on a genuine stream from takeover_time onward.
 
     Spoofing mode synthesizes the target satellites fresh through the
@@ -395,43 +528,82 @@ def spoof_overlay(genuine: IqStream, attack: AttackConfig, target_scenarios,
     configured offset above/below each genuine satellite's power. In
     seamless mode the genuine component stays on air underneath; otherwise
     it is removed at takeover (for spoofing, by subtracting the known clean
-    signal so the noise realization is preserved).
+    signal so the noise realization is preserved). Only samples from the
+    takeover on are synthesized or filtered.
+
+    Without `carry`, `genuine` is the whole stream. With the carry
+    `stream_blocks` passes, it is the stream's next block, and the result
+    runs from where the previous call's ended: in replay mode the FIR needs
+    input past the block, so the output lags the input by the FIR length
+    until the block that ends the stream.
     """
     fs = genuine.sample_rate
-    n = len(genuine.samples)
-    if attack.mode == "replay" and n == 0:
-        raise ValueError("replay attack requires a recorded source stream")
-    out = genuine.copy()
-    k0 = int(round((attack.takeover_time - genuine.t0) * fs))
-    if k0 >= n:
-        return out
-    k0 = max(k0, 0)
-    scale = 10.0 ** (attack.power_offset_db / 20.0)
+    if carry is None:
+        carry = _OverlayCarry(attack, target_scenarios, fs, len(genuine.samples), genuine.t0,
+                              noise_seed, noise_power)
+    held, held_labels, h0 = genuine.samples, genuine.labels, carry.held_from
+    if len(carry.held):
+        held = np.concatenate([carry.held, held])
+        held_labels = np.concatenate([carry.held_labels, held_labels])
+    start, end = carry.pos, h0 + len(held)
+    stop = end if end == carry.n else max(end - carry.margin, start)
+    out = held[start - h0:stop - h0].copy()
+    labels = held_labels[start - h0:stop - h0].copy()
 
-    if attack.mode == "replay":
-        att = _apply_replay_chain(genuine.samples, attack.spoofer_signature, fs,
-                                  attack.attack_seed)
-        if scale != 1.0:
-            att *= np.complex64(scale)
-        if attack.seamless:
-            out.samples[k0:] += att[k0:]
+    a = max(start, carry.k0)
+    if a < stop:
+        if carry.chain is not None:
+            lo, hi = max(a - carry.margin, 0), min(stop + carry.margin, carry.n)
+            att = carry.chain.apply(held[lo - h0:hi - h0], lo, a, stop)
+            if carry.scale != 1.0:
+                att *= np.complex64(carry.scale)
+            if attack.seamless:
+                out[a - start:] += att
+            else:
+                out[a - start:] = att
         else:
-            out.samples[k0:] = att[k0:]
-    else:
-        # One buffer: the attacker, minus the clean genuine signal when the
-        # takeover removes it.
-        att = np.zeros(n, dtype=np.complex64)
-        for scen in target_scenarios:
-            amp = _satellite_amplitude(scen.cn0, noise_power, fs)
-            spoofed_scen = replace(scen, signature=attack.spoofer_signature)
-            _synthesize_satellite(spoofed_scen, fs, n, amp * scale,
-                                  attack.attack_seed, att)
-            if not attack.seamless:
-                _synthesize_satellite(scen, fs, n, -amp, noise_seed, att)
-        out.samples[k0:] += att[k0:]
+            att = np.zeros(stop - a, dtype=np.complex64)
+            for sat in carry.satellites:
+                sat.add(att, a)
+            out[a - start:] += att
+        labels[a - start:] = carry.label
 
-    if attack.seamless and attack.power_offset_db < 0:
-        out.labels[k0:] = LABEL_MIXED
-    else:
-        out.labels[k0:] = LABEL_SPOOFED
-    return out
+    keep = max(stop - carry.margin, 0)
+    carry.held, carry.held_labels = held[keep - h0:].copy(), held_labels[keep - h0:].copy()
+    carry.held_from, carry.pos = keep, stop
+    return IqStream(out, fs, carry.t0 + start / fs, labels)
+
+
+def stream_blocks(scenarios, sample_rate: float = DEFAULT_SAMPLE_RATE, duration: float = 1.0,
+                  noise_seed: int = 0, noise_power: float = 1.0, add_noise: bool = True,
+                  multipath=(), attack: AttackConfig | None = None, target_scenarios=(),
+                  block_samples: int | None = None):
+    """Yield a scenario's stream as consecutive IqStream blocks.
+
+    Each block of `block_samples` (BLOCK_SAMPLES when None) is synthesized
+    (synthesize_genuine), passed through the `multipath` taps when there
+    are any (apply_multipath) and overlaid by `attack` on target_scenarios
+    when set (spoof_overlay), each stage carrying what it needs from
+    earlier blocks. Concatenated, the blocks are bit for bit the stream
+    those calls give on the whole stream, whatever the block size; memory
+    is bounded by the block plus a few scalars per 1 ms epoch.
+    """
+    block = BLOCK_SAMPLES if block_samples is None else int(block_samples)
+    if block < 1:
+        raise ValueError(f"block_samples must be >= 1, got {block}")
+    genuine = _GenuineCarry(scenarios, sample_rate, duration, noise_seed, noise_power,
+                            add_noise, block)
+    channel = _MultipathCarry(multipath, sample_rate, genuine.n) if multipath else None
+    overlay = None
+    if attack is not None:
+        overlay = _OverlayCarry(attack, target_scenarios, sample_rate, genuine.n, 0.0,
+                                noise_seed, noise_power)
+    for _ in range(max(1, -(-genuine.n // block))):
+        iq = synthesize_genuine(scenarios, sample_rate, duration, noise_seed, noise_power,
+                                add_noise, carry=genuine)
+        if channel is not None:
+            iq = apply_multipath(iq, multipath, carry=channel)
+        if overlay is not None:
+            iq = spoof_overlay(iq, attack, target_scenarios, noise_seed, noise_power,
+                               carry=overlay)
+        yield iq

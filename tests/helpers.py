@@ -5,6 +5,8 @@ checks: correlations are computed by explicit roll-and-dot sums, C/N0 by
 ground-truth despreading, timing by elementary segment scans.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.special import logsumexp
 
@@ -217,3 +219,177 @@ def scenario_features(cfg):
         track = rc.track_channel(stream, acq)
         parts.append(ff.extract_features(track.epochs, cfg["window"], prn=scen.prn))
     return ff.feature_matrix(np.concatenate(parts))
+
+
+# -- whole-array stream synthesis ----------------------------------------------
+# The chain as it was before streaming: every stage on the whole stream, one
+# full-length array per step. stream_oracle is its scenario -> stream path.
+
+def _oracle_satellite(scenario, sample_rate, n, amplitude, phase_seed, out):
+    sig = scenario.signature
+    epoch_len = ss.samples_per_epoch(sample_rate)
+    n_sim_epochs = -(-n // epoch_len)
+
+    chips = generate_ca_code(scenario.prn).chips.astype(np.float64)
+    taps = np.asarray(sig.filter_taps, dtype=np.float64)
+    pad = len(taps)
+    step = CHIP_RATE / sample_rate
+    omega = 2.0 * np.pi * scenario.doppler / sample_rate
+    r = np.arange(epoch_len, dtype=np.float64)
+    phase_chips = scenario.code_phase0 + step * r
+    raw = chips[np.mod(phase_chips, 1023.0).astype(np.int64)]
+    filt = np.convolve(np.pad(raw, pad, mode="wrap"), taps, mode="same")[pad:pad + epoch_len]
+    tile = (filt * np.exp(1j * omega * r)).astype(np.complex64)
+    period = np.floor(phase_chips / 1023)
+    wrap = int(np.searchsorted(period, period[0] + 1.0))
+
+    chips_per_bit = CHIP_RATE / ss.NAV_BIT_RATE
+    bits = ss.synthesize_nav_bits(scenario.prn, scenario.nav_seed,
+                                  n / sample_rate + scenario.code_phase0 / CHIP_RATE
+                                  + 2.0 / ss.NAV_BIT_RATE)
+    g = sig.gain_asymmetry
+    norm = np.sqrt((g * g + 1.0) / 2.0)
+    amp_pos = amplitude * g / norm
+    amp_neg = amplitude / norm
+
+    rng = np.random.default_rng([int(phase_seed) & 0xFFFFFFFF, int(scenario.prn), 0x51])
+    if sig.phase_noise_std > 0:
+        walk = np.cumsum(rng.normal(0.0, sig.phase_noise_std, n_sim_epochs))
+    else:
+        walk = np.zeros(n_sim_epochs)
+    first = np.arange(n_sim_epochs) * float(epoch_len)
+    rotator = np.exp(1j * (omega * first + scenario.carrier_phase0 + walk))
+
+    def epoch_scalars(first_sample):
+        b = bits[((scenario.code_phase0 + step * first_sample)
+                  / chips_per_bit).astype(np.int64)]
+        return (np.where(b > 0, amp_pos, amp_neg) * b * rotator).astype(np.complex64)
+
+    before = epoch_scalars(first)
+    after = epoch_scalars(first + wrap)
+
+    def accumulate(block, k0):
+        k1 = k0 + block.shape[0]
+        t = tile[:block.shape[1]]
+        block[:, :wrap] += before[k0:k1, None] * t[:wrap]
+        block[:, wrap:] += after[k0:k1, None] * t[wrap:]
+
+    n_full = n // epoch_len
+    for k0 in range(0, n_full, 64):
+        k1 = min(k0 + 64, n_full)
+        accumulate(out[k0 * epoch_len:k1 * epoch_len].reshape(k1 - k0, epoch_len), k0)
+    if n_full < n_sim_epochs:
+        accumulate(out[n_full * epoch_len:n].reshape(1, -1), n_full)
+
+
+def _amplitude(cn0, noise_power, sample_rate):
+    return float(np.sqrt(10.0 ** (cn0 / 10.0) * noise_power / sample_rate))
+
+
+def _oracle_genuine(scenarios, sample_rate, duration, noise_seed, noise_power, add_noise):
+    n = int(round(duration * sample_rate))
+    out = np.zeros(n, dtype=np.complex64)
+    for scen in scenarios:
+        amp = _amplitude(scen.cn0, noise_power, sample_rate)
+        _oracle_satellite(scen, sample_rate, n, amp, noise_seed, out)
+    if add_noise and noise_power > 0:
+        rng = np.random.default_rng([int(noise_seed) & 0xFFFFFFFF, 0xA3])
+        sigma = np.sqrt(noise_power / 2.0)
+        chunk = 1 << 20
+        for i0 in range(0, n, chunk):
+            m = min(chunk, n - i0)
+            noise = rng.standard_normal(2 * m)
+            noise *= sigma
+            interleaved = out[i0:i0 + m].view(np.float32)
+            interleaved += noise
+    return out, np.full(n, ss.LABEL_GENUINE, dtype=np.uint8)
+
+
+def _oracle_multipath(samples, sample_rate, taps):
+    n = len(samples)
+    out = np.zeros(n, dtype=np.complex64)
+    for delay, gain in taps:
+        d = int(round(delay * sample_rate))
+        if d >= n:
+            continue
+        out[d:] += (np.complex64(gain) * samples[:n - d])
+    return out
+
+
+def _oracle_replay_chain(x, sig, sample_rate, seed):
+    taps = np.asarray(sig.filter_taps, dtype=np.float32)
+    re = x.real.astype(np.float32, copy=True)
+    im = x.imag.astype(np.float32, copy=True)
+    if len(taps) > 1:
+        re = np.convolve(re, taps, mode="same")
+        im = np.convolve(im, taps, mode="same")
+    elif taps[0] != 1.0:
+        re *= taps[0]
+        im *= taps[0]
+    g = sig.gain_asymmetry
+    if g != 1.0:
+        norm = np.sqrt((g * g + 1.0) / 2.0)
+        scale = np.where(re > 0, np.float32(g / norm), np.float32(1.0 / norm))
+        re *= scale
+        im *= scale
+    if sig.phase_noise_std > 0:
+        rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, 0x9E])
+        chunk = int(round(sample_rate * 1e-3))
+        n_chunks = -(-len(re) // chunk)
+        walk = np.repeat(np.cumsum(rng.normal(0.0, sig.phase_noise_std, n_chunks)),
+                         chunk)[:len(re)].astype(np.float32)
+        c, s = np.cos(walk), np.sin(walk)
+        re, im = re * c - im * s, im * c + re * s
+    y = np.empty(len(re), dtype=np.complex64)
+    y.real = re
+    y.imag = im
+    return y
+
+
+def _oracle_overlay(samples, labels, fs, attack, target_scenarios, noise_seed, noise_power):
+    n = len(samples)
+    out, out_labels = samples.copy(), labels.copy()
+    k0 = int(round(attack.takeover_time * fs))
+    if k0 >= n:
+        return out, out_labels
+    k0 = max(k0, 0)
+    scale = 10.0 ** (attack.power_offset_db / 20.0)
+    if attack.mode == "replay":
+        att = _oracle_replay_chain(samples, attack.spoofer_signature, fs, attack.attack_seed)
+        if scale != 1.0:
+            att *= np.complex64(scale)
+        if attack.seamless:
+            out[k0:] += att[k0:]
+        else:
+            out[k0:] = att[k0:]
+    else:
+        att = np.zeros(n, dtype=np.complex64)
+        for scen in target_scenarios:
+            amp = _amplitude(scen.cn0, noise_power, fs)
+            spoofed_scen = replace(scen, signature=attack.spoofer_signature)
+            _oracle_satellite(spoofed_scen, fs, n, amp * scale, attack.attack_seed, att)
+            if not attack.seamless:
+                _oracle_satellite(scen, fs, n, -amp, noise_seed, att)
+        out[k0:] += att[k0:]
+    if attack.seamless and attack.power_offset_db < 0:
+        out_labels[k0:] = ss.LABEL_MIXED
+    else:
+        out_labels[k0:] = ss.LABEL_SPOOFED
+    return out, out_labels
+
+
+def stream_oracle(cfg):
+    """A loaded scenario's (samples, labels), each stage on whole arrays:
+    synthesis, then multipath, then the attack on `attack.targets`."""
+    fs = cfg["sample_rate"]
+    samples, labels = _oracle_genuine(cfg["satellites"], fs, cfg["duration"],
+                                      cfg["noise_seed"], cfg["noise_power"], cfg["add_noise"])
+    if cfg["multipath"]:
+        samples = _oracle_multipath(samples, fs, cfg["multipath"])
+    if cfg["attack"] is not None:
+        targets = cfg["satellites"]
+        if cfg["attack_targets"]:
+            targets = [s for s in targets if s.prn in set(cfg["attack_targets"])]
+        samples, labels = _oracle_overlay(samples, labels, fs, cfg["attack"], targets,
+                                          cfg["noise_seed"], cfg["noise_power"])
+    return samples, labels

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -103,6 +104,48 @@ class TestIqRoundTrip:
         assert np.array_equal(out.samples, stream.samples[40:50])
         assert out.t0 == pytest.approx(40 / 1e6)
 
+    @pytest.mark.parametrize("fmt", ["int8", "int16", "float32"])
+    @pytest.mark.parametrize("byte_order", ["little", "big"])
+    @pytest.mark.parametrize("iq_swap", [False, True])
+    def test_chunked_read_matches_whole_payload_decode(self, tmp_path, monkeypatch, fmt,
+                                                       byte_order, iq_swap):
+        monkeypatch.setattr(cio, "_READ_CHUNK", 7)
+        meta = cio.CaptureMeta(sample_rate=1e6, sample_format=fmt, byte_order=byte_order,
+                               iq_swap=iq_swap)
+        rng = np.random.default_rng(11)
+        if fmt == "float32":
+            raw = rng.normal(0, 0.3, 100).astype(meta.dtype)
+            raw[:4] = [-0.0, 0.0, 1e-40, -1.0]
+        else:
+            info = np.iinfo(meta.dtype)
+            raw = rng.integers(info.min, info.max, 100, endpoint=True).astype(meta.dtype)
+            raw[:2] = [info.min, info.max]
+        path = tmp_path / "chunks.iq"
+        raw.tofile(path)
+        for offset, decimate, count in [(0, 1, None), (3, 1, 20), (5, 3, None), (6, 4, 29),
+                                        (13, 2, 14), (0, 7, None), (1, 50, None),
+                                        (49, 1, None), (50, 1, None), (7, 1, 7)]:
+            # the whole payload at once, sliced to the window
+            pairs = raw.reshape(-1, 2)[offset:][:count][::decimate]
+            i_part, q_part = (pairs[:, 1], pairs[:, 0]) if iq_swap else (pairs[:, 0], pairs[:, 1])
+            expected = np.empty(len(pairs), dtype=np.complex64)
+            expected.real, expected.imag = i_part, q_part
+            if fmt != "float32":
+                expected /= np.float32(1 << (8 * raw.itemsize - 1))
+            out = cio.read_iq(path, meta, decimate=decimate, offset_samples=offset, count=count)
+            assert out.samples.tobytes() == expected.tobytes(), (offset, decimate, count)
+
+    def test_append_names_the_index_in_the_file(self, tmp_path):
+        meta = cio.CaptureMeta(sample_rate=1e6, sample_format="int16")
+        path = tmp_path / "app.iq"
+        first = IqStream(np.full(5, 0.5 + 0.5j, dtype=np.complex64), 1e6)
+        cio.write_iq(first, path, meta)
+        cio.write_iq(first, path, meta, append=True)
+        bad = IqStream(np.array([0.1, 0.2 + 1.0j], dtype=np.complex64), 1e6)
+        with pytest.raises(ValueError, match=r"sample 11 \(Q component"):
+            cio.write_iq(bad, path, meta, append=True)
+        assert np.array_equal(cio.read_iq(path).samples, np.tile(first.samples, 2))
+
     def test_nonfinite_rejected(self, tmp_path):
         samples = np.array([np.nan + 0j], dtype=np.complex64)
         meta = cio.CaptureMeta(sample_rate=1e6, sample_format="float32")
@@ -112,8 +155,12 @@ class TestIqRoundTrip:
     def test_labels_round_trip(self, tmp_path):
         stream = IqStream(np.zeros(10, np.complex64), 1e6,
                           labels=np.arange(10, dtype=np.uint8) % 3)
-        cio.save_labels(stream, tmp_path / "labels.npy")
+        meta = cio.CaptureMeta(sample_rate=1e6, sample_format="float32")
+        with cio.CaptureWriter(tmp_path / "c.iq", meta, tmp_path / "labels.npy", 10) as writer:
+            for part in (slice(0, 6), slice(6, 10)):  # two blocks
+                writer.write(IqStream(stream.samples[part], 1e6, labels=stream.labels[part]))
         assert np.array_equal(cio.load_labels(tmp_path / "labels.npy"), stream.labels)
+        assert sorted(os.listdir(tmp_path)) == ["c.iq", "c.iq.meta.json", "labels.npy"]
 
 
 class TestManifest:

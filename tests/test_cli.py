@@ -1,6 +1,8 @@
 import hashlib
+import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,11 @@ from gnssfp import capture_io as cio
 from gnssfp import signal_sim as ss
 from gnssfp.cli import (EXIT_ALARM, EXIT_DATA, EXIT_OK, EXIT_USAGE, ScenarioError,
                         build_parser, build_stream, load_scenario, main)
+from helpers import stream_oracle
+
+SCENARIO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "scenarios")
+SHIPPED = sorted(os.path.splitext(name)[0] for name in os.listdir(SCENARIO_DIR))
 
 SIG_GEN = {"gain_asymmetry": 1.12, "filter_taps": [0.18, 0.64, 0.18],
            "phase_noise_std": 0.004}
@@ -34,6 +41,17 @@ def tiny_scenario(attack=False, duration=4.0, prn=7, noise_seed=1):
 def write_scenario(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def shortened_scenario(tmp_path, name, duration):
+    """A shipped scenario cut to `duration`, its takeover keeping its share."""
+    with open(os.path.join(SCENARIO_DIR, f"{name}.json"), encoding="utf-8") as f:
+        doc = json.load(f)
+    scale = duration / doc["duration"]
+    doc["duration"] = duration
+    if doc.get("attack"):
+        doc["attack"]["takeover_time"] = doc["attack"].get("takeover_time", 0.0) * scale
+    return write_scenario(tmp_path / f"{name}.json", doc)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +168,50 @@ class TestSimulate:
         assert (out / "labels.npy").exists()
         record = json.loads((out / "run_record_simulate.json").read_text())
         assert record["config_sha256"]
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_capture_matches_whole_array_oracle(self, tmp_path, monkeypatch, name):
+        assert len(SHIPPED) == 20
+        scen = shortened_scenario(tmp_path, name, 0.3)
+        samples, labels = stream_oracle(load_scenario(scen))
+        npy = io.BytesIO()
+        np.save(npy, labels)
+        for block in (2047, 3 * 2048 + 5, ss.BLOCK_SAMPLES):
+            monkeypatch.setattr(ss, "BLOCK_SAMPLES", block)
+            out = tmp_path / str(block)
+            assert main(["simulate", "--scenario", scen, "--out", str(out)]) == EXIT_OK
+            assert (out / "capture.iq").read_bytes() == samples.tobytes(), block
+            assert (out / "labels.npy").read_bytes() == npy.getvalue(), block
+
+    def test_overflow_in_a_later_block_leaves_no_files(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ss, "BLOCK_SAMPLES", 4096)
+        doc = tiny_scenario(attack=True, duration=8192 / 2.048e6)  # two blocks
+        doc["noise_power"] = 1e-4
+        doc["attack"].update(power="adjusted", adjusted_db=60.0,
+                             takeover_time=5000 / 2.048e6)
+        scen = write_scenario(tmp_path / "loud.json", doc)
+        scaled = np.rint(build_stream(load_scenario(scen)).samples.view(np.float32)
+                         * np.float32(32768))
+        first = int(np.flatnonzero((scaled < -32768) | (scaled > 32767))[0]) // 2
+        assert 4096 <= first < 8192  # only the second block overflows
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", scen, "--out", str(out),
+                     "--format", "int16"]) == EXIT_DATA
+        assert f"sample {first} (" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_memory_is_bounded_by_the_block(self, tmp_path):
+        peaks = []
+        for duration in (1.0, 4.0):
+            scen = shortened_scenario(tmp_path, "replay_train_spoofed", duration)
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--scenario", scen,
+                             "--out", str(tmp_path / str(duration))]) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
     def test_same_seed_same_bytes(self, tmp_path):
         scen = write_scenario(tmp_path / "s.json", tiny_scenario(duration=1.0))
@@ -364,6 +426,35 @@ class TestTrainEvalDetect:
         from gnssfp.receiver_core import AcquisitionResult
         acq = AcquisitionResult(3, 0.0, 0.0, float("inf"), True)
         assert _channel_record(3, None, acq)["peak_metric"] is None
+
+    def test_detect_run_record_matches_track(self, pipeline_dir, tmp_path):
+        _, paths = pipeline_dir
+        capture = str(paths["spoofed"] / "capture.iq")
+        profile = tmp_path / "profile.json"
+        main(["train", "--genuine", str(paths["genuine"] / "features.csv"),
+              "--out", str(profile)])
+        prns = ["--prn", "7", "--prn", "8"]
+        assert main(["track", "--capture", capture, *prns,
+                     "--out", str(tmp_path / "track")]) == EXIT_OK
+        track = json.loads((tmp_path / "track" / "run_record_track.json").read_text())
+        records = []
+        for run in ("a", "b"):
+            assert main(["detect", "--capture", capture, "--profile", str(profile), *prns,
+                         "--out", str(tmp_path / run)]) == EXIT_ALARM
+            records.append((tmp_path / run / "run_record_detect.json").read_text())
+        assert records[0] == records[1]
+        record = json.loads(records[0])
+        assert record["subcommand"] == "detect" and record["capture"] == capture
+        assert record["prns"] == [7, 8]
+        assert record["channels"] == track["channels"]
+
+        epochs = str(paths["spoofed"] / "epochs_prn07.csv")
+        assert main(["detect", "--epochs", epochs, "--profile", str(profile),
+                     "--out", str(tmp_path / "ep")]) == EXIT_ALARM
+        record = json.loads((tmp_path / "ep" / "run_record_detect.json").read_text())
+        assert record["capture"] is None and record["prns"] == [7]
+        assert record["channels"] == [{**track["channels"][0], "status": "epoch_csv",
+                                       "peak_metric": None}]
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["simulate", "--scenario", str(tmp_path / "nope.json"),

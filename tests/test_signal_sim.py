@@ -254,6 +254,47 @@ class TestSpoofOverlay:
             ss.AttackConfig(mode="replay", takeover_time=-1.0)
 
 
+class TestStreamBlocks:
+    SATS = TestSynthesisOracle.SATS[:2]
+    SPOOFER = ss.HardwareSignature(0.9, (0.1, 0.1, 0.1, 0.1, 0.2, 0.1, 0.1, 0.1, 0.1), 0.02)
+    # delays of 0, 3 and 5000 samples: the last spans many small blocks
+    MULTIPATH = [(0.0, 1.0 + 0j), (3 / FS, 0.3 - 0.1j), (5000 / FS, 0.1 + 0.05j)]
+    ATTACKS = {
+        "none": None,
+        "replay": ss.AttackConfig(mode="replay", power="under", takeover_time=0.0021,
+                                  seamless=True, spoofer_signature=SPOOFER, attack_seed=4),
+        "spoofing": ss.AttackConfig(mode="spoofing", power="over", takeover_time=0.0021,
+                                    spoofer_signature=SPOOFER, attack_seed=4),
+    }
+
+    @pytest.mark.parametrize("block", [1, 7, 2047, 3 * 2048 + 5])
+    @pytest.mark.parametrize("attack", list(ATTACKS))
+    def test_blocks_join_to_the_whole_stream_calls(self, block, attack):
+        atk, targets, duration = self.ATTACKS[attack], self.SATS[1:], 0.0061
+        whole = ss.apply_multipath(ss.synthesize_genuine(self.SATS, FS, duration, 3),
+                                   self.MULTIPATH)
+        if atk is not None:
+            whole = ss.spoof_overlay(whole, atk, targets, noise_seed=3)
+        blocks = list(ss.stream_blocks(self.SATS, FS, duration, 3, multipath=self.MULTIPATH,
+                                       attack=atk, target_scenarios=targets,
+                                       block_samples=block))
+        starts = np.cumsum([0] + [len(b.samples) for b in blocks[:-1]])
+        assert [b.t0 for b in blocks] == [i / FS for i in starts]
+        samples = np.concatenate([b.samples for b in blocks])
+        assert samples.tobytes() == whole.samples.tobytes()
+        assert np.concatenate([b.labels for b in blocks]).tobytes() == whole.labels.tobytes()
+
+    def test_empty_stream_is_one_empty_block(self):
+        (block,) = ss.stream_blocks(self.SATS, FS, 0.0)
+        assert len(block.samples) == len(block.labels) == 0
+        with pytest.raises(ValueError, match="replay"):
+            list(ss.stream_blocks(self.SATS, FS, 0.0, attack=self.ATTACKS["replay"]))
+
+    def test_block_below_one_rejected(self):
+        with pytest.raises(ValueError, match="block_samples"):
+            next(ss.stream_blocks(self.SATS, FS, 0.01, block_samples=0))
+
+
 class TestLabelIntervals:
     def test_round_trip(self):
         iq = ss.IqStream(np.zeros(100, np.complex64), 100.0,
