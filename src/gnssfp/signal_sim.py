@@ -576,11 +576,10 @@ def spoof_overlay(genuine: IqStream, attack: AttackConfig, target_scenarios,
 
 def stream_blocks(scenarios, sample_rate: float = DEFAULT_SAMPLE_RATE, duration: float = 1.0,
                   noise_seed: int = 0, noise_power: float = 1.0, add_noise: bool = True,
-                  multipath=(), attack: AttackConfig | None = None, target_scenarios=(),
-                  block_samples: int | None = None):
+                  multipath=(), attack: AttackConfig | None = None, target_scenarios=()):
     """Yield a scenario's stream as consecutive IqStream blocks.
 
-    Each block of `block_samples` (BLOCK_SAMPLES when None) is synthesized
+    Each block of BLOCK_SAMPLES samples is synthesized
     (synthesize_genuine), passed through the `multipath` taps when there
     are any (apply_multipath) and overlaid by `attack` on target_scenarios
     when set (spoof_overlay), each stage carrying what it needs from
@@ -588,9 +587,7 @@ def stream_blocks(scenarios, sample_rate: float = DEFAULT_SAMPLE_RATE, duration:
     those calls give on the whole stream, whatever the block size; memory
     is bounded by the block plus a few scalars per 1 ms epoch.
     """
-    block = BLOCK_SAMPLES if block_samples is None else int(block_samples)
-    if block < 1:
-        raise ValueError(f"block_samples must be >= 1, got {block}")
+    block = BLOCK_SAMPLES
     genuine = _GenuineCarry(scenarios, sample_rate, duration, noise_seed, noise_power,
                             add_noise, block)
     channel = _MultipathCarry(multipath, sample_rate, genuine.n) if multipath else None

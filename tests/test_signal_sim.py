@@ -269,15 +269,15 @@ class TestStreamBlocks:
 
     @pytest.mark.parametrize("block", [1, 7, 2047, 3 * 2048 + 5])
     @pytest.mark.parametrize("attack", list(ATTACKS))
-    def test_blocks_join_to_the_whole_stream_calls(self, block, attack):
+    def test_blocks_join_to_the_whole_stream_calls(self, block, attack, monkeypatch):
+        monkeypatch.setattr(ss, "BLOCK_SAMPLES", block)
         atk, targets, duration = self.ATTACKS[attack], self.SATS[1:], 0.0061
         whole = ss.apply_multipath(ss.synthesize_genuine(self.SATS, FS, duration, 3),
                                    self.MULTIPATH)
         if atk is not None:
             whole = ss.spoof_overlay(whole, atk, targets, noise_seed=3)
         blocks = list(ss.stream_blocks(self.SATS, FS, duration, 3, multipath=self.MULTIPATH,
-                                       attack=atk, target_scenarios=targets,
-                                       block_samples=block))
+                                       attack=atk, target_scenarios=targets))
         starts = np.cumsum([0] + [len(b.samples) for b in blocks[:-1]])
         assert [b.t0 for b in blocks] == [i / FS for i in starts]
         samples = np.concatenate([b.samples for b in blocks])
@@ -289,10 +289,6 @@ class TestStreamBlocks:
         assert len(block.samples) == len(block.labels) == 0
         with pytest.raises(ValueError, match="replay"):
             list(ss.stream_blocks(self.SATS, FS, 0.0, attack=self.ATTACKS["replay"]))
-
-    def test_block_below_one_rejected(self):
-        with pytest.raises(ValueError, match="block_samples"):
-            next(ss.stream_blocks(self.SATS, FS, 0.01, block_samples=0))
 
 
 class TestLabelIntervals:

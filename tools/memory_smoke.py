@@ -1,15 +1,12 @@
 """Memory smoke check: peak RSS of `gnssfp simulate` and `gnssfp track`.
 
-    python tools/memory_smoke.py [--scenario FILE] [--prn N] [--duration S] [--work DIR]
+    python tools/memory_smoke.py [--work DIR]
 
-Simulates the scenario (by default the shipped 30 s replay_train_spoofed,
-a 492 MB float32 capture) and tracks one PRN of the capture, each in a
-child process, and reads each child's own peak RSS (`ru_maxrss` from
-`wait4`). Exits 1 if simulate peaks above SIMULATE_BOUND_MIB or track
+Simulates the shipped 30 s replay_train_spoofed scenario (a 492 MB
+float32 capture) and tracks PRN 13 of the capture, each in a child
+process, and reads each child's own peak RSS (`ru_maxrss` from `wait4`). Exits 1 if simulate peaks above SIMULATE_BOUND_MIB or track
 above TRACK_BOUND times the capture's complex64 size: simulate must hold
 one block of the stream at a time and track one decoded stream.
-`--duration` rescales the scenario (its takeover keeps its share), so the
-same check shows whether simulate's peak grows with the capture's length.
 """
 
 from __future__ import annotations
@@ -23,6 +20,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MIB = float(1 << 20)
+SCENARIO = os.path.join(ROOT, "scenarios", "replay_train_spoofed.json")
+PRN = 13
 SIMULATE_BOUND_MIB = 256.0
 TRACK_BOUND = 1.5  # times the capture's complex64 bytes
 
@@ -43,35 +42,18 @@ def peak_rss_mib(argv: list) -> float:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scenario",
-                        default=os.path.join(ROOT, "scenarios", "replay_train_spoofed.json"))
-    parser.add_argument("--prn", type=int, default=13)
-    parser.add_argument("--duration", type=float, default=None,
-                        help="rescale the scenario to this many seconds")
     parser.add_argument("--work", default=None, help="output directory (default: a temporary one)")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or tmp
         os.makedirs(work, exist_ok=True)
-        scenario = args.scenario
-        if args.duration is not None:
-            with open(scenario, encoding="utf-8") as f:
-                doc = json.load(f)
-            scale = args.duration / doc["duration"]
-            doc["duration"] = args.duration
-            if doc.get("attack"):
-                doc["attack"]["takeover_time"] = doc["attack"].get("takeover_time", 0.0) * scale
-            scenario = os.path.join(work, "scenario.json")
-            with open(scenario, "w", encoding="utf-8") as f:
-                json.dump(doc, f)
-
         capture = os.path.join(work, "capture.iq")
-        simulate = peak_rss_mib(["simulate", "--scenario", scenario, "--out", work])
+        simulate = peak_rss_mib(["simulate", "--scenario", SCENARIO, "--out", work])
         with open(capture + ".meta.json", encoding="utf-8") as f:
             width = {"int8": 1, "int16": 2, "float32": 4}[json.load(f)["sample_format"]]
         stream_mib = os.path.getsize(capture) // (2 * width) * 8 / MIB
-        track = peak_rss_mib(["track", "--capture", capture, "--prn", str(args.prn),
+        track = peak_rss_mib(["track", "--capture", capture, "--prn", str(PRN),
                               "--out", work])
 
     checks = [("simulate", simulate, SIMULATE_BOUND_MIB),
