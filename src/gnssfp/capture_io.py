@@ -23,7 +23,7 @@ import numpy as np
 from .fingerprint_features import FEATURE_DTYPE, FeatureWindowConfig
 from .mvn_model import from_moments
 from .receiver_core import EPOCH_DTYPE
-from .signal_sim import IqStream
+from .signal_sim import LABEL_NAMES, IqStream
 from .spoof_detector import Decision, DetectorProfile
 
 MODEL_FORMAT = "gnssfp-profile"
@@ -32,7 +32,7 @@ MANIFEST_FORMAT = "gnssfp-manifest"
 MANIFEST_VERSION = 1
 
 _SAMPLE_DTYPES = {"int8": np.int8, "int16": np.int16, "float32": np.float32}
-_READ_CHUNK = 1 << 16  # samples read_iq decodes at a time
+_CHUNK = 1 << 16  # samples read_iq decodes, and labels CaptureWriter writes, at a time
 
 
 class FormatError(ValueError):
@@ -114,17 +114,20 @@ def write_iq(stream: IqStream, path, meta: CaptureMeta, append: bool = False) ->
 
 class CaptureWriter:
     """Write a capture block by block: the IQ payload and its sidecar at
-    `path`, and the labels as a .npy array of `n_samples` entries.
+    `path`, and the labels as a .npy array expanded from `label_runs`, the
+    capture's (start, stop, code) runs of sample indices.
 
-    Use it as a context manager and `write` each IqStream block in order.
-    The files are written under temporary names and renamed into place when
-    the `with` block ends without error, so a failed write leaves no
-    payload, sidecar or labels file behind.
+    Use it as a context manager and `write` each IqStream block in order;
+    the runs must cover as many samples as the blocks. The files are
+    written under temporary names and renamed into place when the `with`
+    block ends without error, so a failed write leaves no payload, sidecar
+    or labels file behind.
     """
 
-    def __init__(self, path, meta: CaptureMeta, labels_path, n_samples: int):
+    def __init__(self, path, meta: CaptureMeta, labels_path, label_runs):
         self.path, self.labels_path = str(path), str(labels_path)
-        self.meta, self.n_samples = meta, n_samples
+        self.meta, self.label_runs = meta, list(label_runs)
+        self.n_samples = sum(stop - start for start, stop, _ in self.label_runs)
         self.written = 0
         self._partial = {self.path: self.path + ".partial",
                          sidecar_path(self.path): sidecar_path(self.path + ".partial"),
@@ -134,18 +137,19 @@ class CaptureWriter:
         try:
             write_iq(IqStream(np.zeros(0, np.complex64), self.meta.sample_rate),
                      self._partial[self.path], self.meta)
-            self._labels = open(self._partial[self.labels_path], "wb")
+            with open(self._partial[self.labels_path], "wb") as f:
+                np.lib.format.write_array_header_1_0(f, {
+                    "descr": "|u1", "fortran_order": False, "shape": (self.n_samples,)})
+                for start, stop, code in self.label_runs:
+                    for i in range(start, stop, _CHUNK):
+                        np.full(min(_CHUNK, stop - i), code, dtype=np.uint8).tofile(f)
         except BaseException:
             self._remove_partial()
             raise
-        header = np.lib.format.header_data_from_array_1_0(np.zeros(0, dtype=np.uint8))
-        np.lib.format.write_array_header_1_0(self._labels,
-                                             {**header, "shape": (self.n_samples,)})
         return self
 
     def write(self, block: IqStream) -> None:
         write_iq(block, self._partial[self.path], self.meta, append=True)
-        np.asarray(block.labels, dtype=np.uint8).tofile(self._labels)
         self.written += len(block.samples)
 
     def _remove_partial(self) -> None:
@@ -154,16 +158,14 @@ class CaptureWriter:
                 os.remove(partial)
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._labels.close()
-        if exc_type is None and self.written != self.n_samples:
-            self._remove_partial()
+        if exc_type is None and self.written == self.n_samples:
+            for final, partial in self._partial.items():
+                os.replace(partial, final)
+            return
+        self._remove_partial()
+        if exc_type is None:
             raise ValueError(f"{self.path}: wrote {self.written} samples, "
                              f"expected {self.n_samples}")
-        if exc_type is not None:
-            self._remove_partial()
-            return
-        for final, partial in self._partial.items():
-            os.replace(partial, final)
 
 
 def read_meta(path) -> CaptureMeta:
@@ -177,8 +179,7 @@ def read_meta(path) -> CaptureMeta:
 
 
 def read_iq(path, meta: CaptureMeta | None = None, decimate: int = 1,
-            offset_samples: int = 0, count: int | None = None,
-            labels: np.ndarray | None = None) -> IqStream:
+            offset_samples: int = 0, count: int | None = None) -> IqStream:
     """Decode interleaved I,Q into an IqStream.
 
     Integer formats are scaled to [-1, 1) by 2^(bits-1). `offset_samples`
@@ -207,8 +208,8 @@ def read_iq(path, meta: CaptureMeta | None = None, decimate: int = 1,
     # values and their scaling by a power of two are exact in float32.
     samples = np.empty(-(-n_read // decimate), dtype=np.complex64)
     with open(str(path), "rb") as f:
-        for j0 in range(0, len(samples), _READ_CHUNK):
-            part = samples[j0:j0 + _READ_CHUNK]
+        for j0 in range(0, len(samples), _CHUNK):
+            part = samples[j0:j0 + _CHUNK]
             f.seek((offset_samples + j0 * decimate) * block)
             raw = np.fromfile(f, dtype=meta.dtype, count=2 * ((len(part) - 1) * decimate + 1))
             i_part, q_part = raw[0::2 * decimate], raw[1::2 * decimate]
@@ -218,14 +219,28 @@ def read_iq(path, meta: CaptureMeta | None = None, decimate: int = 1,
             part.imag = q_part
             if meta.sample_format != "float32":
                 part /= np.float32(1 << (8 * width - 1))
-    if labels is not None:
-        labels = np.asarray(labels, dtype=np.uint8)[offset_samples:offset_samples + n_read:decimate]
     return IqStream(samples, meta.sample_rate / decimate,
-                    t0=meta.t0 + offset_samples / meta.sample_rate, labels=labels)
+                    t0=meta.t0 + offset_samples / meta.sample_rate)
 
 
-def load_labels(path) -> np.ndarray:
-    return np.load(str(path))
+def load_labels(path, n_samples: int) -> np.ndarray:
+    """Read a labels .npy file: one uint8 code of LABEL_NAMES per sample of
+    an n_samples capture. Any other shape, type or code is a ValueError
+    naming the file."""
+    try:
+        with open(str(path), "rb") as f:
+            labels = np.lib.format.read_array(f)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a labels .npy array: {exc}") from exc
+    if labels.dtype != np.uint8 or labels.shape != (n_samples,):
+        raise ValueError(f"{path}: labels must be a 1-D uint8 array of {n_samples} "
+                         f"entries, one per capture sample; got {labels.dtype} "
+                         f"of shape {labels.shape}")
+    top = max(LABEL_NAMES)  # the codes are 0..top
+    if labels.max(initial=0) > top:
+        raise ValueError(f"{path}: unknown label codes {np.unique(labels[labels > top]).tolist()}"
+                         f"; expected codes of {LABEL_NAMES}")
+    return labels
 
 
 # --------------------------------------------------------------------------
@@ -431,9 +446,7 @@ REPORT_CSV_HEADER = ["dataset", "n_avg", "fpr", "fnr", "eer", "threshold_log",
                      "tp", "fp", "tn", "fn"]
 
 
-def write_reports_csv(reports, path, names=None) -> None:
-    if names is None:
-        names = [str(i) for i in range(len(reports))]
+def write_reports_csv(reports, path, names) -> None:
     _write_csv(path, REPORT_CSV_HEADER,
                ([name, r.n_avg, _fmt(r.fpr), _fmt(r.fnr), _fmt(r.eer), _fmt(r.threshold),
                  *r.counts] for name, r in zip(names, reports)))

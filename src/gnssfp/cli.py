@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
@@ -165,23 +166,22 @@ def _stream_blocks(cfg: dict):
 def build_stream(cfg: dict) -> IqStream:
     """Synthesize a loaded scenario whole: the blocks of `simulate`, joined."""
     n = signal_sim.sample_count(cfg["sample_rate"], cfg["duration"])
-    samples, labels = np.empty(n, dtype=np.complex64), np.empty(n, dtype=np.uint8)
+    samples = np.empty(n, dtype=np.complex64)
     i = 0
     for block in _stream_blocks(cfg):
         samples[i:i + len(block.samples)] = block.samples
-        labels[i:i + len(block.samples)] = block.labels
         i += len(block.samples)
-    return IqStream(samples, cfg["sample_rate"], labels=labels)
+    return IqStream(samples, cfg["sample_rate"])
 
 
 def _write_run_record(out_dir: str, subcommand: str, config_bytes: bytes | None,
-                      extra: dict | None = None) -> None:
+                      extra: dict) -> None:
     record = {
         "subcommand": subcommand,
         "package_version": __version__,
         "config_sha256": hashlib.sha256(config_bytes).hexdigest() if config_bytes else None,
+        **extra,
     }
-    record.update(extra or {})
     with open(os.path.join(out_dir, f"run_record_{subcommand}.json"), "w",
               encoding="utf-8") as f:
         json.dump(record, f, indent=2, sort_keys=True)
@@ -199,8 +199,9 @@ def cmd_simulate(args) -> int:
     meta = CaptureMeta(sample_rate=cfg["sample_rate"], sample_format=args.format,
                        t0=0.0, notes=f"synthesized from {os.path.basename(args.scenario)}")
     n = signal_sim.sample_count(cfg["sample_rate"], cfg["duration"])
+    runs = signal_sim.label_runs(cfg["attack"], cfg["sample_rate"], n)
     with capture_io.CaptureWriter(capture_path, meta, os.path.join(args.out, "labels.npy"),
-                                  n) as writer:
+                                  runs) as writer:
         for block in _stream_blocks(cfg):
             writer.write(block)
 
@@ -353,11 +354,8 @@ def cmd_eval(args) -> int:
     profile = load_model(args.profile)
     genuine = spoof_detector.score_features(_feature_matrix(args.genuine), profile.model)
     spoofed = spoof_detector.score_features(_feature_matrix(args.spoofed), profile.model)
-    reports, names = [], []
-    for n in args.n:
-        reports.append(spoof_detector.evaluate(genuine, spoofed, profile, n_avg=n))
-        names.append("eval")
-    _report(names, reports, args.out)
+    reports = [spoof_detector.evaluate(genuine, spoofed, profile, n_avg=n) for n in args.n]
+    _report(["eval"] * len(reports), reports, args.out)
     return EXIT_OK
 
 
@@ -388,54 +386,44 @@ def cmd_detect(args) -> int:
     trk_cfg = TrackingConfig()
     os.makedirs(args.out, exist_ok=True)
 
+    label_ivs = []  # without --labels every decision's label stays "unknown"
     if args.epochs:
         results = []
         for path in args.epochs:
             prn = _epoch_file_prn(path)
             epochs = capture_io.read_epochs_csv(path)
             results.append((prn, TrackResult(prn, _EPOCH_CSV_STATUS, epochs), None))
-        label_ivs = []
     else:
         stream = capture_io.read_iq(args.capture)
         if args.labels:
-            stream.labels = capture_io.load_labels(args.labels)
+            label_ivs = signal_sim.label_intervals(
+                capture_io.load_labels(args.labels, len(stream.samples)),
+                stream.sample_rate, stream.t0)
         results = _track_prns(stream, args, trk_cfg)
-        label_ivs = signal_sim.label_intervals(stream)
-    channels = [(prn, track.epochs if track else None) for prn, track, _ in results]
     _write_run_record(args.out, "detect", None, _channels_record(args.capture, results))
 
     decisions_by_prn = {}
-    all_decisions = []
-    for prn, epochs in channels:
-        if epochs is None:
+    for prn, track, _ in results:
+        if track is None:
             print(f"PRN {prn:2d}: not acquired", file=sys.stderr)
             continue
-        decisions = spoof_detector.detect_stream(epochs, profile, window,
-                                                 trk_cfg, prn=prn)
-        if label_ivs:
-            decisions = spoof_detector.annotate_decisions(decisions, label_ivs)
-        decisions_by_prn[prn] = decisions
-        all_decisions.extend(decisions)
+        decisions_by_prn[prn] = spoof_detector.annotate_decisions(
+            spoof_detector.detect_stream(track.epochs, profile, window, trk_cfg, prn=prn),
+            label_ivs)
 
-    all_decisions.sort(key=lambda d: (d.t_start, d.prn))
+    all_decisions = sorted((d for ds in decisions_by_prn.values() for d in ds),
+                           key=lambda d: (d.t_start, d.prn))
     capture_io.write_decisions_csv(all_decisions, os.path.join(args.out, "decisions.csv"))
     n_mal = sum(d.decision == spoof_detector.DECISION_MALICIOUS for d in all_decisions)
     print(f"{len(all_decisions)} decisions, {n_mal} malicious "
           f"-> {os.path.join(args.out, 'decisions.csv')}")
 
-    if not args.epochs and args.labels and len(decisions_by_prn) >= 4:
+    if label_ivs and len(decisions_by_prn) >= 4:
         sets = spoof_detector.prn_sets(list(decisions_by_prn))
         timing = spoof_detector.spoof_timing(decisions_by_prn, label_ivs, sets)
-        report = {
-            "prn_sets": [list(s) for s in timing.prn_sets],
-            "max_continuous_spoof_s": list(timing.max_continuous_spoof_s),
-            "total_spoof_s": list(timing.total_spoof_s),
-            "undetected_30s_locks": list(timing.undetected_30s_locks),
-            "overall_continuous_spoof_s": timing.overall_continuous_spoof_s,
-        }
         with open(os.path.join(args.out, "timing_report.json"), "w",
                   encoding="utf-8") as f:
-            json.dump(report, f, indent=2)
+            json.dump(asdict(timing), f, indent=2)
             f.write("\n")
         print(f"spoof timing over {len(sets)} PRN-sets: overall "
               f"{timing.overall_continuous_spoof_s:.1f} s undetected")

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
+_REGULARIZATION_EPS = 1e-9  # covariance ridge, relative to the mean variance
+
 
 @dataclass(frozen=True)
 class MvnModel:
@@ -29,13 +31,13 @@ class MvnModel:
     log_norm_const: float = 0.0  # -0.5 * (k ln 2pi + ln|Sigma|)
 
 
-def fit(samples, regularization_eps: float = 1e-9) -> MvnModel:
+def fit(samples) -> MvnModel:
     """Fit an MvnModel to an n-by-k matrix of feature rows.
 
     mu is the column mean, sigma the unbiased (n-1) sample covariance plus a
-    ridge of eps * (trace/k) * I. When the empirical covariance is exactly
-    zero (all rows equal) the ridge scale falls back to 1 so the model stays
-    positive definite.
+    ridge of _REGULARIZATION_EPS * (trace/k) * I. When the empirical
+    covariance is exactly zero (all rows equal) the ridge scale falls back
+    to 1 so the model stays positive definite.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
@@ -52,7 +54,7 @@ def fit(samples, regularization_eps: float = 1e-9) -> MvnModel:
     scale = np.trace(sigma) / k
     if scale <= 0.0:
         scale = 1.0
-    sigma = sigma + regularization_eps * scale * np.eye(k)
+    sigma = sigma + _REGULARIZATION_EPS * scale * np.eye(k)
     return from_moments(mu, sigma)
 
 

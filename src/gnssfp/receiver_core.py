@@ -37,6 +37,9 @@ LOCK_FAIL_BOTH = "fail_both"
 
 _LOSS_OF_LOCK_EPOCHS = 50  # consecutive code-test failures before giving up
 _LOCK_WINDOW = 20  # epochs feeding the C/N0 and carrier-lock estimators
+_ACQ_THRESHOLD = 2.0  # peak-to-second-peak metric that declares a PRN acquired
+_ACQ_PERIODS = 8  # code periods summed non-coherently per Doppler bin
+_REFINE_PERIODS = 16  # code periods whose phase ramp refines the Doppler
 
 
 @dataclass(frozen=True)
@@ -84,14 +87,13 @@ class TrackResult:
 
 
 def acquire(iq: IqStream, prn: int, doppler_range: float = 5000.0,
-            doppler_bin: float = 250.0, threshold: float = 2.0,
-            num_periods: int = 8, refine_doppler: bool = True) -> AcquisitionResult:
+            doppler_bin: float = 250.0) -> AcquisitionResult:
     """Parallel code-phase search over a grid of Doppler bins.
 
-    Correlates one code period per bin via FFT and sums num_periods
+    Correlates one code period per bin via FFT and sums _ACQ_PERIODS
     non-coherently (one nav-bit edge cannot wipe out both periods). The
     detection metric is the peak over the largest value outside +/-1 chip
-    of the peak; acquired when it reaches `threshold`. When acquired, the
+    of the peak; acquired when it reaches _ACQ_THRESHOLD. When acquired, the
     Doppler of the arg-max cell is refined from the phase ramp of
     consecutive-period correlations (squared to shed bit flips).
     """
@@ -100,7 +102,7 @@ def acquire(iq: IqStream, prn: int, doppler_range: float = 5000.0,
     if len(iq.samples) < 2 * period:
         raise ValueError(f"need at least two code periods ({2 * period} samples), "
                          f"got {len(iq.samples)}")
-    num_periods = min(num_periods, len(iq.samples) // period)
+    num_periods = min(_ACQ_PERIODS, len(iq.samples) // period)
 
     code = generate_ca_code(prn)
     replica = sample_code(code, fs, CHIP_RATE, 0.0, period).astype(np.float64)
@@ -139,9 +141,9 @@ def acquire(iq: IqStream, prn: int, doppler_range: float = 5000.0,
     metric = float(np.sqrt(peak_power / second)) if second > 0 else np.inf
 
     code_phase = ((period - k_peak) % period) * CHIP_RATE / fs
-    acquired = metric >= threshold
+    acquired = metric >= _ACQ_THRESHOLD
 
-    if acquired and refine_doppler:
+    if acquired:
         doppler_hat += _refine_doppler(iq, replica, k_peak, doppler_hat, period)
 
     return AcquisitionResult(prn=prn, code_phase=float(code_phase % CODE_LENGTH),
@@ -150,10 +152,10 @@ def acquire(iq: IqStream, prn: int, doppler_range: float = 5000.0,
 
 
 def _refine_doppler(iq: IqStream, replica: np.ndarray, lag: int,
-                    doppler: float, period: int, n_periods: int = 16) -> float:
+                    doppler: float, period: int) -> float:
     """Residual Doppler from the phase ramp of per-period prompt sums."""
     fs = iq.sample_rate
-    n_periods = min(n_periods, len(iq.samples) // period - 1)
+    n_periods = min(_REFINE_PERIODS, len(iq.samples) // period - 1)
     if n_periods < 4:
         return 0.0
     aligned = np.roll(replica, lag)

@@ -34,6 +34,12 @@ stream. Every sample depends only on its index and the draws are taken in
 sample order, so the blocks join bit for bit into the stream that the
 whole-stream calls give, whatever the block size; the attacker is only
 synthesized or filtered from the takeover on.
+
+Streams carry samples only. A scenario's ground truth follows from its
+attack alone: label_runs gives it as (start, stop, code) sample runs,
+genuine before the takeover and then spoofed, or mixed under a seamless
+attack below the genuine power. label_intervals turns a per-sample label
+array, as read back from a labels file, into time spans.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from .prn_codes import CHIP_RATE, CODE_LENGTH, generate_ca_code
 DEFAULT_SAMPLE_RATE = 2.048e6  # ~2 samples/chip; see README on grid choice
 NAV_BIT_RATE = 50.0  # bits/s
 BITS_PER_SUBFRAME = 300
-SUBFRAMES_PER_FRAME = 5
 SUBFRAME_PREAMBLE = (1, 0, 0, 0, 1, 0, 1, 1)
 # One C/A code period: the synthesis tile length and the step of the phase
 # random walk and of the per-epoch carrier rotator.
@@ -148,39 +153,39 @@ class AttackConfig:
 
 @dataclass
 class IqStream:
-    """Complex baseband samples with per-sample ground-truth labels."""
+    """Complex baseband samples, their rate and the time of the first one."""
 
     samples: np.ndarray
     sample_rate: float
     t0: float = 0.0
-    labels: np.ndarray = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.complex64)
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        if self.labels is None:
-            self.labels = np.zeros(len(self.samples), dtype=np.uint8)
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
-        if len(self.labels) != len(self.samples):
-            raise ValueError("labels length must equal samples length")
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
 
 
-def label_intervals(iq: IqStream) -> list:
-    """Run-length encode the per-sample labels into (t_start, t_end, name) spans."""
-    labels = iq.labels
-    if len(labels) == 0:
-        return []
-    edges = np.flatnonzero(np.diff(labels)) + 1
-    starts = np.concatenate([[0], edges])
-    ends = np.concatenate([edges, [len(labels)]])
-    fs = iq.sample_rate
-    return [(iq.t0 + s / fs, iq.t0 + e / fs, LABEL_NAMES[int(labels[s])])
-            for s, e in zip(starts, ends)]
+def _takeover_index(attack: AttackConfig, sample_rate: float, n: int, t0: float = 0.0) -> int:
+    """Index of the first attacked sample of an n-sample stream starting at t0."""
+    return min(max(int(round((attack.takeover_time - t0) * sample_rate)), 0), n)
+
+
+def label_runs(attack: AttackConfig | None, sample_rate: float, n: int) -> list:
+    """Ground truth of an n-sample scenario stream as (start, stop, code) runs:
+    genuine before the takeover, then spoofed, or mixed when a seamless attack
+    sits below the genuine power; genuine throughout without an attack."""
+    k0 = n if attack is None else _takeover_index(attack, sample_rate, n)
+    mixed = attack is not None and attack.seamless and attack.power_offset_db < 0
+    runs = [(0, k0, LABEL_GENUINE), (k0, n, LABEL_MIXED if mixed else LABEL_SPOOFED)]
+    return [run for run in runs if run[0] < run[1]]
+
+
+def label_intervals(labels, sample_rate: float, t0: float = 0.0) -> list:
+    """Run-length encode per-sample label codes into (t_start, t_end, name) spans."""
+    labels = np.asarray(labels)
+    edges = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(labels)]
+    return [(t0 + a / sample_rate, t0 + b / sample_rate, LABEL_NAMES[int(labels[a])])
+            for a, b in zip(edges, edges[1:]) if a < b]
 
 
 def synthesize_nav_bits(prn: int, nav_seed: int, duration: float) -> np.ndarray:
@@ -356,9 +361,9 @@ def synthesize_genuine(scenarios, sample_rate: float = DEFAULT_SAMPLE_RATE,
 
     Each satellite contributes amp * gain(bit) * (code (*) fir) * bit *
     exp(j(2 pi doppler t + phi0 + phase_walk)); complex AWGN of total power
-    noise_power per sample is added on top when add_noise is set. All labels
-    are "genuine". Raises ValueError unless sample_rate is at least two
-    samples per chip and a whole number of samples per SIM_EPOCH.
+    noise_power per sample is added on top when add_noise is set. Raises
+    ValueError unless sample_rate is at least two samples per chip and a
+    whole number of samples per SIM_EPOCH.
 
     Without `carry` the result is the whole stream. `stream_blocks` passes
     a carry made from the same arguments, and each call then returns the
@@ -381,8 +386,7 @@ def synthesize_genuine(scenarios, sample_rate: float = DEFAULT_SAMPLE_RATE,
             interleaved = out[i0:i0 + len(noise) // 2].view(np.float32)
             interleaved += noise
     carry.pos += m
-    return IqStream(out, sample_rate, t0=start / sample_rate,
-                    labels=np.full(m, LABEL_GENUINE, dtype=np.uint8))
+    return IqStream(out, sample_rate, t0=start / sample_rate)
 
 
 class _MultipathCarry:
@@ -405,10 +409,9 @@ class _MultipathCarry:
 def apply_multipath(iq: IqStream, taps, carry: _MultipathCarry | None = None) -> IqStream:
     """Superpose delayed, scaled copies: out = sum_k gain_k * iq(t - delay_k).
 
-    Delays are quantized to the sample grid; labels pass through unchanged.
-    An empty tap list yields an all-zero stream. Without `carry`, `iq` is
-    the whole stream; with the carry `stream_blocks` passes, it is the
-    stream's next block.
+    Delays are quantized to the sample grid. An empty tap list yields an
+    all-zero stream. Without `carry`, `iq` is the whole stream; with the
+    carry `stream_blocks` passes, it is the stream's next block.
     """
     if carry is None:
         carry = _MultipathCarry(taps, iq.sample_rate, len(iq.samples))
@@ -422,7 +425,7 @@ def apply_multipath(iq: IqStream, taps, carry: _MultipathCarry | None = None) ->
             out[a:] += gain * ext[back + a - d:back + m - d]
     carry.tail = ext[max(len(ext) - carry.depth, 0):].copy()
     carry.pos += m
-    return IqStream(out, iq.sample_rate, iq.t0, iq.labels.copy())
+    return IqStream(out, iq.sample_rate, iq.t0)
 
 
 class _ReplayChain:
@@ -492,10 +495,8 @@ class _OverlayCarry:
         if attack.mode == "replay" and n == 0:
             raise ValueError("replay attack requires a recorded source stream")
         self.n, self.t0 = n, t0
-        self.k0 = min(max(int(round((attack.takeover_time - t0) * sample_rate)), 0), n)
+        self.k0 = _takeover_index(attack, sample_rate, n, t0)
         self.scale = 10.0 ** (attack.power_offset_db / 20.0)
-        self.label = (LABEL_MIXED if attack.seamless and attack.power_offset_db < 0
-                      else LABEL_SPOOFED)
         self.chain, self.satellites, self.margin = None, [], 0
         if self.k0 < n and attack.mode == "replay":
             self.chain = _ReplayChain(attack.spoofer_signature, sample_rate, n,
@@ -512,7 +513,6 @@ class _OverlayCarry:
                 if not attack.seamless:
                     self.satellites.append(_Satellite(scen, sample_rate, n, -amp, noise_seed))
         self.held = np.zeros(0, dtype=np.complex64)
-        self.held_labels = np.zeros(0, dtype=np.uint8)
         self.held_from = 0  # stream index of held[0]
         self.pos = 0
 
@@ -541,14 +541,12 @@ def spoof_overlay(genuine: IqStream, attack: AttackConfig, target_scenarios,
     if carry is None:
         carry = _OverlayCarry(attack, target_scenarios, fs, len(genuine.samples), genuine.t0,
                               noise_seed, noise_power)
-    held, held_labels, h0 = genuine.samples, genuine.labels, carry.held_from
+    held, h0 = genuine.samples, carry.held_from
     if len(carry.held):
         held = np.concatenate([carry.held, held])
-        held_labels = np.concatenate([carry.held_labels, held_labels])
     start, end = carry.pos, h0 + len(held)
     stop = end if end == carry.n else max(end - carry.margin, start)
     out = held[start - h0:stop - h0].copy()
-    labels = held_labels[start - h0:stop - h0].copy()
 
     a = max(start, carry.k0)
     if a < stop:
@@ -566,12 +564,10 @@ def spoof_overlay(genuine: IqStream, attack: AttackConfig, target_scenarios,
             for sat in carry.satellites:
                 sat.add(att, a)
             out[a - start:] += att
-        labels[a - start:] = carry.label
 
     keep = max(stop - carry.margin, 0)
-    carry.held, carry.held_labels = held[keep - h0:].copy(), held_labels[keep - h0:].copy()
-    carry.held_from, carry.pos = keep, stop
-    return IqStream(out, fs, carry.t0 + start / fs, labels)
+    carry.held, carry.held_from, carry.pos = held[keep - h0:].copy(), keep, stop
+    return IqStream(out, fs, carry.t0 + start / fs)
 
 
 def stream_blocks(scenarios, sample_rate: float = DEFAULT_SAMPLE_RATE, duration: float = 1.0,

@@ -28,6 +28,7 @@ logger = logging.getLogger(__name__)
 
 DECISION_AUTHENTIC = "authentic"
 DECISION_MALICIOUS = "malicious"
+_FALLBACK_QUANTILE = 0.01  # held-out genuine score quantile: the threshold without spoofed data
 
 
 @dataclass(frozen=True)
@@ -142,15 +143,14 @@ def eer_threshold(genuine_scores, spoofed_scores) -> tuple[float, float]:
 
 
 def train(genuine_features, spoofed_features=None, holdout_fraction: float = 0.3,
-          seed: int = 0, n_avg: int = 1, regularization_eps: float = 1e-9,
-          trained_on: tuple = (), fallback_quantile: float = 0.01) -> DetectorProfile:
+          seed: int = 0, n_avg: int = 1, trained_on: tuple = ()) -> DetectorProfile:
     """Fit the genuine-population MVN and set the detection threshold.
 
     The model is fit on (1 - holdout_fraction) of the genuine sample points
     (training is assumed spoof-free); the held-out genuine scores together
     with all spoofed scores set the EER threshold. Without spoofed scores
-    the threshold falls back to a low quantile of the held-out genuine
-    scores, flagged on the profile and logged as a warning.
+    the threshold falls back to the _FALLBACK_QUANTILE of the held-out
+    genuine scores, flagged on the profile and logged as a warning.
     """
     x = np.asarray(genuine_features, dtype=np.float64)
     if x.ndim != 2:
@@ -164,7 +164,7 @@ def train(genuine_features, spoofed_features=None, holdout_fraction: float = 0.3
         raise ValueError(f"not enough genuine samples to fit after holdout: "
                          f"{len(fit_idx)} <= k={x.shape[1]}")
 
-    model = mvn_model.fit(x[fit_idx], regularization_eps=regularization_eps)
+    model = mvn_model.fit(x[fit_idx])
     genuine_scores = score_features(x[hold_idx], model)
 
     spoofed = None if spoofed_features is None else np.asarray(spoofed_features)
@@ -173,16 +173,14 @@ def train(genuine_features, spoofed_features=None, holdout_fraction: float = 0.3
                        "quantile thresholding (EER requires both classes)")
         if len(genuine_scores) == 0:
             genuine_scores = score_features(x[fit_idx], model)
-        threshold = float(np.quantile(genuine_scores, fallback_quantile))
-        return DetectorProfile(model=model, log_threshold=threshold, n_avg=n_avg,
-                               trained_on=tuple(trained_on),
-                               threshold_method="genuine_quantile")
-
-    spoofed_scores = score_features(spoofed, model)
-    threshold, eer = eer_threshold(genuine_scores, spoofed_scores)
+        threshold, eer = float(np.quantile(genuine_scores, _FALLBACK_QUANTILE)), float("nan")
+        method = "genuine_quantile"
+    else:
+        threshold, eer = eer_threshold(genuine_scores, score_features(spoofed, model))
+        method = "eer"
     return DetectorProfile(model=model, log_threshold=threshold, n_avg=n_avg,
                            trained_on=tuple(trained_on), train_eer=eer,
-                           threshold_method="eer")
+                           threshold_method=method)
 
 
 def block_log_scores(log_scores, n: int) -> np.ndarray:

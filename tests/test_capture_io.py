@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,12 @@ from gnssfp.fingerprint_features import FEATURE_DTYPE, FeatureWindowConfig
 from gnssfp.signal_sim import IqStream
 from gnssfp.spoof_detector import Decision, DetectorProfile, EvalReport
 from helpers import epoch_array
+
+
+def npy_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
 
 
 def representable_samples(rng, n, fmt):
@@ -109,7 +117,7 @@ class TestIqRoundTrip:
     @pytest.mark.parametrize("iq_swap", [False, True])
     def test_chunked_read_matches_whole_payload_decode(self, tmp_path, monkeypatch, fmt,
                                                        byte_order, iq_swap):
-        monkeypatch.setattr(cio, "_READ_CHUNK", 7)
+        monkeypatch.setattr(cio, "_CHUNK", 7)
         meta = cio.CaptureMeta(sample_rate=1e6, sample_format=fmt, byte_order=byte_order,
                                iq_swap=iq_swap)
         rng = np.random.default_rng(11)
@@ -152,15 +160,61 @@ class TestIqRoundTrip:
         with pytest.raises(ValueError):
             cio.write_iq(IqStream(samples, 1e6), tmp_path / "nan.iq", meta)
 
-    def test_labels_round_trip(self, tmp_path):
-        stream = IqStream(np.zeros(10, np.complex64), 1e6,
-                          labels=np.arange(10, dtype=np.uint8) % 3)
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 1 << 16])
+    def test_labels_round_trip(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cio, "_CHUNK", chunk)
+        runs = [(0, 4, 0), (4, 5, 2), (5, 10, 1)]
+        expected = np.array([0, 0, 0, 0, 2, 1, 1, 1, 1, 1], dtype=np.uint8)
+        samples = np.zeros(10, np.complex64)
         meta = cio.CaptureMeta(sample_rate=1e6, sample_format="float32")
-        with cio.CaptureWriter(tmp_path / "c.iq", meta, tmp_path / "labels.npy", 10) as writer:
+        with cio.CaptureWriter(tmp_path / "c.iq", meta, tmp_path / "labels.npy", runs) as writer:
             for part in (slice(0, 6), slice(6, 10)):  # two blocks
-                writer.write(IqStream(stream.samples[part], 1e6, labels=stream.labels[part]))
-        assert np.array_equal(cio.load_labels(tmp_path / "labels.npy"), stream.labels)
+                writer.write(IqStream(samples[part], 1e6))
+        assert (tmp_path / "labels.npy").read_bytes() == npy_bytes(expected)
+        assert np.array_equal(cio.load_labels(tmp_path / "labels.npy", 10), expected)
         assert sorted(os.listdir(tmp_path)) == ["c.iq", "c.iq.meta.json", "labels.npy"]
+
+    def test_sample_count_other_than_the_runs_leaves_no_files(self, tmp_path):
+        meta = cio.CaptureMeta(sample_rate=1e6, sample_format="float32")
+        with pytest.raises(ValueError, match="wrote 3 samples, expected 10"):
+            with cio.CaptureWriter(tmp_path / "c.iq", meta, tmp_path / "labels.npy",
+                                   [(0, 10, 0)]) as writer:
+                writer.write(IqStream(np.zeros(3, np.complex64), 1e6))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("labels, message", [
+        (np.zeros(3, np.uint8), r"1-D uint8 array of 12 entries.*shape \(3,\)"),
+        (np.zeros(12, np.float64), "got float64"),
+        (np.zeros((3, 4), np.uint8), r"shape \(3, 4\)"),
+        (np.array([0] * 10 + [7, 3], np.uint8), r"unknown label codes \[3, 7\]")])
+    def test_load_labels_rejects_malformed_files(self, tmp_path, labels, message):
+        path = tmp_path / "labels.npy"
+        np.save(path, labels)
+        with pytest.raises(ValueError, match=message) as exc:
+            cio.load_labels(path, 12)
+        assert str(path) in str(exc.value)
+
+    def test_load_labels_rejects_other_files(self, tmp_path):
+        np.savez(tmp_path / "labels.npz", labels=np.zeros(12, np.uint8))
+        (tmp_path / "text.npy").write_text("0 1 2\n")
+        np.save(tmp_path / "objects.npy", np.array([None] * 12, dtype=object), allow_pickle=True)
+        for name in ("labels.npz", "text.npy", "objects.npy"):
+            with pytest.raises(ValueError, match="not a labels .npy array") as exc:
+                cio.load_labels(tmp_path / name, 12)
+            assert name in str(exc.value)
+
+    def test_read_iq_holds_only_the_samples(self, tmp_path):
+        n = 2_000_000
+        meta = cio.CaptureMeta(sample_rate=2.048e6, sample_format="int16")
+        np.zeros(2 * n, dtype=np.int16).tofile(tmp_path / "big.iq")
+        tracemalloc.start()
+        try:
+            stream = cio.read_iq(tmp_path / "big.iq", meta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream.samples) == n
+        assert peak <= n * np.dtype(np.complex64).itemsize + (1 << 20), peak
 
 
 class TestManifest:

@@ -154,7 +154,9 @@ class TestSimulate:
         capture = cio.read_iq(out / "capture.iq")
         assert capture.samples.tobytes() == stream.samples.tobytes()
         assert explicit.samples.tobytes() == stream.samples.tobytes()
-        assert np.array_equal(np.load(out / "labels.npy"), stream.labels)
+        labels = cio.load_labels(out / "labels.npy", len(stream.samples))
+        assert ss.label_intervals(labels, cfg["sample_rate"]) == [(0.0, 0.1, "genuine"),
+                                                                  (0.1, 0.3, "spoofed")]
         assert cio.load_manifest(out / "manifest.json").multipath == "yes"
 
     def test_outputs_and_manifest(self, pipeline_dir):
@@ -258,6 +260,38 @@ class TestTrainEvalDetect:
                      "--profile", str(profile), "--prn", "7",
                      "--out", str(tmp_path / "det_gen")])
         assert code == EXIT_OK
+
+    def test_detect_without_labels_writes_unknown(self, pipeline_dir, tmp_path):
+        _, paths = pipeline_dir
+        profile = tmp_path / "profile.json"
+        main(["train", "--genuine", str(paths["genuine"] / "features.csv"),
+              "--out", str(profile)])
+        assert main(["detect", "--capture", str(paths["spoofed"] / "capture.iq"),
+                     "--profile", str(profile), "--prn", "7",
+                     "--out", str(tmp_path / "det")]) == EXIT_ALARM
+        decisions = cio.read_decisions_csv(tmp_path / "det" / "decisions.csv")
+        assert decisions and all(d.label == "unknown" for d in decisions)
+
+    @pytest.mark.parametrize("labels, message", [
+        (lambda n: np.zeros(n // 4, np.uint8), "uint8 array of 8192000 entries"),
+        (lambda n: np.full(n, 7, np.uint8), "unknown label codes [7]"),
+        (lambda n: np.zeros(n, np.float64), "got float64")],
+        ids=["quarter_length", "code_7", "float64"])
+    def test_bad_labels_file_is_data_error(self, pipeline_dir, tmp_path, capsys, labels,
+                                           message):
+        _, paths = pipeline_dir
+        profile = tmp_path / "profile.json"
+        main(["train", "--genuine", str(paths["genuine"] / "features.csv"),
+              "--out", str(profile)])
+        bad = tmp_path / "labels.npy"
+        np.save(bad, labels(8192000))
+        out = tmp_path / "det"
+        assert main(["detect", "--capture", str(paths["spoofed"] / "capture.iq"),
+                     "--profile", str(profile), "--prn", "7", "--labels", str(bad),
+                     "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err and str(bad) in err
+        assert not (out / "decisions.csv").exists()
 
     def test_subcommands_do_not_mutate_inputs(self, pipeline_dir, tmp_path):
         _, paths = pipeline_dir

@@ -29,7 +29,11 @@ def takeover_run():
     train_features = helpers.scenario_features(train_cfg)
 
     attack_stream = build_stream(attack_cfg)
-    label_ivs = ss.label_intervals(attack_stream)
+    fs = attack_cfg["sample_rate"]
+    label_ivs = [(a / fs, b / fs, ss.LABEL_NAMES[code])
+                 for a, b, code in ss.label_runs(attack_cfg["attack"], fs,
+                                                 len(attack_stream.samples))]
+    assert label_ivs == [(0.0, 6.0, "genuine"), (6.0, 12.0, "spoofed")]
 
     # spoofed features for thresholding come from the post-takeover segment
     spoofed_rows = []

@@ -47,7 +47,7 @@ def test_paper_scale_threshold_in_log_space():
 
 def test_fit_constant_samples_regularization_floor():
     v = np.array([2.0, -1.0, 0.5])
-    m = fit(np.tile(v, (10, 1)), regularization_eps=1e-9)
+    m = fit(np.tile(v, (10, 1)))
     assert np.allclose(m.mu, v)
     assert np.allclose(m.sigma, 1e-9 * np.eye(3))
 

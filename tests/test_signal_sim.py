@@ -77,8 +77,8 @@ class TestSynthesizeGenuine:
 
     def test_labels_all_genuine(self):
         iq = ss.synthesize_genuine([ss.SatelliteScenario(prn=2)], duration=0.05)
-        assert len(iq.labels) == len(iq.samples)
-        assert (iq.labels == ss.LABEL_GENUINE).all()
+        n = len(iq.samples)
+        assert ss.label_runs(None, iq.sample_rate, n) == [(0, n, ss.LABEL_GENUINE)]
 
     def test_deterministic(self):
         scens = [ss.SatelliteScenario(prn=5, doppler=-900.0, cn0=40.0,
@@ -143,7 +143,7 @@ class TestMultipath:
                                    noise_seed=1)
         out = ss.apply_multipath(iq, [(0.0, 1.0 + 0j)])
         assert np.array_equal(out.samples, iq.samples)
-        assert np.array_equal(out.labels, iq.labels)
+        assert (out.sample_rate, out.t0) == (iq.sample_rate, iq.t0)
 
     def test_zero_taps_zero_output(self):
         iq = ss.synthesize_genuine([ss.SatelliteScenario(prn=2)], duration=0.02)
@@ -176,7 +176,8 @@ class TestSpoofOverlay:
         atk = ss.AttackConfig(mode="replay", takeover_time=10.0)
         out = ss.spoof_overlay(iq, atk, scens, noise_seed=5)
         assert np.array_equal(out.samples, iq.samples)
-        assert (out.labels == ss.LABEL_GENUINE).all()
+        n = len(iq.samples)
+        assert ss.label_runs(atk, iq.sample_rate, n) == [(0, n, ss.LABEL_GENUINE)]
 
     def test_perfect_replay_is_bit_identical(self):
         scens, iq = self._base()
@@ -186,7 +187,9 @@ class TestSpoofOverlay:
         k0 = int(round(0.2 * iq.sample_rate))
         assert np.array_equal(out.samples[k0:], iq.samples[k0:])
         assert np.array_equal(out.samples[:k0], iq.samples[:k0])
-        assert (out.labels[k0:] == ss.LABEL_SPOOFED).all()
+        n = len(iq.samples)
+        assert ss.label_runs(atk, iq.sample_rate, n) == [(0, k0, ss.LABEL_GENUINE),
+                                                         (k0, n, ss.LABEL_SPOOFED)]
 
     def test_replay_requires_source(self):
         empty = ss.IqStream(np.empty(0, np.complex64), FS)
@@ -218,21 +221,29 @@ class TestSpoofOverlay:
         assert post / pre == pytest.approx(4.0, rel=0.15)
 
     def test_under_seamless_labels_mixed(self):
-        scens, iq = self._base()
+        _, iq = self._base()
         atk = ss.AttackConfig(mode="spoofing", power="under", takeover_time=0.2,
                               seamless=True)
-        out = ss.spoof_overlay(iq, atk, scens, noise_seed=5)
-        k0 = int(round(0.2 * iq.sample_rate))
-        assert (out.labels[k0:] == ss.LABEL_MIXED).all()
-        assert (out.labels[:k0] == ss.LABEL_GENUINE).all()
+        k0, n = int(round(0.2 * iq.sample_rate)), len(iq.samples)
+        assert ss.label_runs(atk, iq.sample_rate, n) == [(0, k0, ss.LABEL_GENUINE),
+                                                         (k0, n, ss.LABEL_MIXED)]
+
+    @pytest.mark.parametrize("power, seamless, code", [
+        ("under", False, ss.LABEL_SPOOFED), ("matched", True, ss.LABEL_SPOOFED),
+        ("over", True, ss.LABEL_SPOOFED), ("under", True, ss.LABEL_MIXED)])
+    def test_takeover_at_start_labels_every_sample(self, power, seamless, code):
+        atk = ss.AttackConfig(mode="replay", power=power, seamless=seamless)
+        assert ss.label_runs(atk, FS, 100) == [(0, 100, code)]
+        assert ss.label_runs(atk, FS, 0) == []
 
     def test_label_conservation_monotone_in_takeover(self):
-        scens, iq = self._base()
+        _, iq = self._base()
         counts = []
         for takeover in (0.3, 0.2, 0.1):
             atk = ss.AttackConfig(mode="replay", takeover_time=takeover)
-            out = ss.spoof_overlay(iq, atk, scens, noise_seed=5)
-            counts.append(int(np.sum(out.labels == ss.LABEL_GENUINE)))
+            runs = ss.label_runs(atk, iq.sample_rate, len(iq.samples))
+            assert runs[-1][1] == len(iq.samples)
+            counts.append(sum(b - a for a, b, code in runs if code == ss.LABEL_GENUINE))
         assert counts[0] >= counts[1] >= counts[2]
 
     def test_overlay_deterministic(self):
@@ -282,22 +293,25 @@ class TestStreamBlocks:
         assert [b.t0 for b in blocks] == [i / FS for i in starts]
         samples = np.concatenate([b.samples for b in blocks])
         assert samples.tobytes() == whole.samples.tobytes()
-        assert np.concatenate([b.labels for b in blocks]).tobytes() == whole.labels.tobytes()
 
     def test_empty_stream_is_one_empty_block(self):
         (block,) = ss.stream_blocks(self.SATS, FS, 0.0)
-        assert len(block.samples) == len(block.labels) == 0
+        assert len(block.samples) == 0
         with pytest.raises(ValueError, match="replay"):
             list(ss.stream_blocks(self.SATS, FS, 0.0, attack=self.ATTACKS["replay"]))
 
 
 class TestLabelIntervals:
     def test_round_trip(self):
-        iq = ss.IqStream(np.zeros(100, np.complex64), 100.0,
-                         labels=np.array([0] * 40 + [1] * 60, dtype=np.uint8))
-        ivs = ss.label_intervals(iq)
+        labels = np.array([0] * 40 + [1] * 60, dtype=np.uint8)
+        ivs = ss.label_intervals(labels, 100.0)
         assert ivs == [(0.0, 0.4, "genuine"), (0.4, 1.0, "spoofed")]
 
+    def test_start_time_and_every_code(self):
+        labels = np.array([2, 2, 0, 1, 1, 1, 2], dtype=np.uint8)
+        assert ss.label_intervals(labels, 10.0, t0=5.0) == [
+            (5.0, 5.2, "mixed"), (5.2, 5.3, "genuine"), (5.3, 5.6, "spoofed"),
+            (5.6, 5.7, "mixed")]
+
     def test_empty(self):
-        iq = ss.IqStream(np.empty(0, np.complex64), 100.0)
-        assert ss.label_intervals(iq) == []
+        assert ss.label_intervals(np.empty(0, np.uint8), 100.0) == []

@@ -1,12 +1,15 @@
-"""Memory smoke check: peak RSS of `gnssfp simulate` and `gnssfp track`.
+"""Memory smoke check: peak RSS of `gnssfp simulate`, `track` and `detect`.
 
     python tools/memory_smoke.py [--work DIR]
 
 Simulates the shipped 30 s replay_train_spoofed scenario (a 492 MB
-float32 capture) and tracks PRN 13 of the capture, each in a child
-process, and reads each child's own peak RSS (`ru_maxrss` from `wait4`). Exits 1 if simulate peaks above SIMULATE_BOUND_MIB or track
-above TRACK_BOUND times the capture's complex64 size: simulate must hold
-one block of the stream at a time and track one decoded stream.
+float32 capture), tracks PRN 13 of the capture and runs `detect --labels`
+on it with a genuine-only profile trained on the capture's own features,
+each in a child process, and reads each child's own peak RSS (`ru_maxrss`
+from `wait4`). Exits 1 if simulate peaks above SIMULATE_BOUND_MIB, or
+track or detect above TRACK_BOUND times the capture's complex64 size:
+simulate must hold one block of the stream at a time, track and detect one
+decoded stream (detect also reads the labels file).
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ SIMULATE_BOUND_MIB = 256.0
 TRACK_BOUND = 1.5  # times the capture's complex64 bytes
 
 
-def peak_rss_mib(argv: list) -> float:
-    """Run `gnssfp <argv>` in a child process; return its peak RSS in MiB."""
+def peak_rss_mib(argv: list, exit_codes=(0,)) -> float:
+    """Run `gnssfp <argv>` in a child process; return its peak RSS in MiB.
+
+    Any exit status outside `exit_codes` stops the check."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
                                                       env.get("PYTHONPATH")]))
@@ -35,7 +40,7 @@ def peak_rss_mib(argv: list) -> float:
                             stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode != 0:
+    if proc.returncode not in exit_codes:
         raise SystemExit(f"gnssfp {' '.join(argv)} exited with {proc.returncode}")
     return usage.ru_maxrss * 1024 / MIB  # ru_maxrss is in KiB on Linux
 
@@ -55,9 +60,19 @@ def main() -> int:
         stream_mib = os.path.getsize(capture) // (2 * width) * 8 / MIB
         track = peak_rss_mib(["track", "--capture", capture, "--prn", str(PRN),
                               "--out", work])
+        features, profile = os.path.join(work, "features.csv"), os.path.join(work, "profile.json")
+        peak_rss_mib(["extract", "--epochs", os.path.join(work, f"epochs_prn{PRN:02d}.csv"),
+                      "--out", features])
+        peak_rss_mib(["train", "--genuine", features, "--out", profile])
+        # 3: the profile's genuine-quantile threshold rejects some windows
+        detect = peak_rss_mib(["detect", "--capture", capture, "--prn", str(PRN),
+                               "--profile", profile, "--labels",
+                               os.path.join(work, "labels.npy"),
+                               "--out", os.path.join(work, "detect")], exit_codes=(0, 3))
 
     checks = [("simulate", simulate, SIMULATE_BOUND_MIB),
-              ("track", track, TRACK_BOUND * stream_mib)]
+              ("track", track, TRACK_BOUND * stream_mib),
+              ("detect", detect, TRACK_BOUND * stream_mib)]
     for step, peak, bound in checks:
         print(f"{step}: peak RSS {peak:.1f} MiB, bound {bound:.1f} MiB "
               f"(capture {stream_mib:.1f} MiB as complex64) -> "
