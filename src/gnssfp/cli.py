@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -228,19 +227,18 @@ def cmd_simulate(args) -> int:
 
 
 def _track_prns(stream: IqStream, args, trk_cfg: TrackingConfig) -> list:
-    """Acquire and track each requested PRN on a thread pool.
+    """Acquire and track each requested PRN, one after another.
 
     Returns (prn, TrackResult or None when not acquired, AcquisitionResult)
     in ascending PRN order.
     """
-    def track_one(prn):
+    results = []
+    for prn in sorted(set(args.prn)):
         acq = acquire(stream, prn, doppler_range=args.doppler_range,
                       doppler_bin=args.doppler_bin)
-        return prn, track_channel(stream, acq, trk_cfg) if acq.acquired else None, acq
-
-    prns = sorted(set(args.prn))
-    with ThreadPoolExecutor(max_workers=min(args.jobs, len(prns))) as pool:
-        return list(pool.map(track_one, prns))
+        track = track_channel(stream, acq, trk_cfg) if acq.acquired else None
+        results.append((prn, track, acq))
+    return results
 
 
 def _channel_record(prn: int, track, acq) -> dict:
@@ -442,7 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     acquisition = argparse.ArgumentParser(add_help=False)
     acquisition.add_argument("--doppler-range", type=float, default=5000.0)
     acquisition.add_argument("--doppler-bin", type=float, default=250.0)
-    acquisition.add_argument("--jobs", type=_positive_int, default=4)
+    acquisition.add_argument(
+        "--jobs", type=_positive_int, default=4,
+        help="accepted for compatibility and currently unused: channels are "
+             "tracked one after another")
     window = argparse.ArgumentParser(add_help=False)
     window.add_argument("--window-len", type=int, default=40)
     window.add_argument("--min-pos", type=int, default=3)

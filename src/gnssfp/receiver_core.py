@@ -37,6 +37,7 @@ LOCK_FAIL_BOTH = "fail_both"
 
 _LOSS_OF_LOCK_EPOCHS = 50  # consecutive code-test failures before giving up
 _LOCK_WINDOW = 20  # epochs feeding the C/N0 and carrier-lock estimators
+_LOCK_BLOCK = 64  # epochs whose lock estimates track_channel computes at once
 _ACQ_THRESHOLD = 2.0  # peak-to-second-peak metric that declares a PRN acquired
 _ACQ_PERIODS = 8  # code periods summed non-coherently per Doppler bin
 _REFINE_PERIODS = 16  # code periods whose phase ramp refines the Doppler
@@ -111,23 +112,22 @@ def acquire(iq: IqStream, prn: int, doppler_range: float = 5000.0,
     dopplers = np.arange(-doppler_range, doppler_range + doppler_bin / 2, doppler_bin)
     t = np.arange(period) / fs
     n_corr = num_periods * period
-    x_re = iq.samples[:n_corr].real.astype(np.float64)
-    x_im = iq.samples[:n_corr].imag.astype(np.float64)
+    x_re = iq.samples[:n_corr].real.astype(np.float64).reshape(num_periods, period)
+    x_im = iq.samples[:n_corr].imag.astype(np.float64).reshape(num_periods, period)
 
     best = (-1.0, 0, 0.0)  # (power, sample lag, doppler)
     guard = int(np.ceil(fs / CHIP_RATE))  # +/- 1 chip around the peak
     best_map = None
-    seg = np.empty(period, dtype=np.complex128)
+    seg = np.empty((num_periods, period), dtype=np.complex128)
     for f in dopplers:
         theta = 2.0 * np.pi * f * t
         c, s = np.cos(theta), np.sin(theta)
-        acc = np.zeros(period)
-        for p in range(num_periods):
-            sl = slice(p * period, (p + 1) * period)
-            seg.real = x_re[sl] * c + x_im[sl] * s
-            seg.imag = x_im[sl] * c - x_re[sl] * s
-            corr = np.fft.ifft(np.fft.fft(seg) * replica_fft_conj)
-            acc += corr.real ** 2 + corr.imag ** 2
+        # all periods of one bin at once: row-wise FFTs equal per-period
+        # calls bit for bit, and the axis-0 sum adds the rows in order
+        seg.real = x_re * c + x_im * s
+        seg.imag = x_im * c - x_re * s
+        corr = np.fft.ifft(np.fft.fft(seg, axis=1) * replica_fft_conj, axis=1)
+        acc = (corr.real ** 2 + corr.imag ** 2).sum(axis=0)
         k = int(np.argmax(acc))
         if acc[k] > best[0]:
             best = (acc[k], k, float(f))
@@ -192,11 +192,17 @@ def track_channel(iq: IqStream, init: AcquisitionResult,
     """
     if not init.acquired:
         raise ValueError(f"cannot track PRN {init.prn}: acquisition failed")
+    if not 0.0 <= init.code_phase < CODE_LENGTH:
+        raise ValueError(f"initial code phase must be in [0, {CODE_LENGTH}) chips, "
+                         f"got {init.code_phase}")
     fs = iq.sample_rate
     n_epoch = int(round(fs * cfg.integration_time))
     n_epochs_total = len(iq.samples) // n_epoch
 
-    chips = generate_ca_code(init.prn).chips.astype(np.float64)
+    # The initial code phase, one epoch of code and a spare period, so the
+    # replica gathers index without a modulo (three periods at 1 ms).
+    periods = 2 + int(np.ceil(n_epoch * CHIP_RATE / fs / CODE_LENGTH))
+    chips = np.tile(generate_ca_code(init.prn).chips.astype(np.float64), periods)
     half = cfg.el_spacing / 2.0
 
     tau1_d, tau2_d = _loop_coefficients(cfg.dll_bandwidth, 0.707, 1.0)
@@ -212,22 +218,26 @@ def track_channel(iq: IqStream, init: AcquisitionResult,
 
     i_arr = np.arange(n_epoch, dtype=np.float64)
 
-    # Ring of the last _LOCK_WINDOW prompts feeding the lock detectors.
-    prompts = np.zeros(_LOCK_WINDOW, dtype=np.complex128)
-
     epochs = np.zeros(n_epochs_total, dtype=EPOCH_DTYPE)
     status = STATUS_COMPLETED
     code_fail_run = 0
+    lock_from = _LOCK_WINDOW - 1  # first epoch without lock estimates yet
 
     for k in range(n_epochs_total):
         blk = iq.samples[k * n_epoch:(k + 1) * n_epoch]
         re = blk.real.astype(np.float64)
         im = blk.imag.astype(np.float64)
 
+        # base is >= 0 and stays below code_phase < 1023 plus one epoch of
+        # code (about 2,047 chips at 1 ms). For x >= 0, floor(fmod(x, 1023))
+        # equals floor(x) mod 1023 exactly, since fmod is exact, so indexing
+        # the periodic table at floor(x) picks the chip np.mod picked. The
+        # late index is -1 for base - half in [-half, 0) and wraps to chip
+        # 1022, where np.mod could round up to 1023.0 and overrun.
         base = code_phase + (code_freq / fs) * i_arr
-        idx_p = np.mod(base, float(CODE_LENGTH)).astype(np.int64)
-        idx_e = np.mod(base + half, float(CODE_LENGTH)).astype(np.int64)
-        idx_l = np.mod(base - half, float(CODE_LENGTH)).astype(np.int64)
+        idx_p = base.astype(np.int64)
+        idx_e = (base + half).astype(np.int64)
+        idx_l = np.floor(base - half).astype(np.int64)
 
         # carrier wipe x = blk * exp(-j theta), kept in split real arithmetic
         theta = (2.0 * np.pi * carr_freq / fs) * i_arr + carr_phase
@@ -242,9 +252,7 @@ def track_channel(iq: IqStream, init: AcquisitionResult,
         p = complex(xr @ cp, xi @ cp)
         l = complex(xr @ cl, xi @ cl)
 
-        t_k = iq.t0 + k * T
-        epoch_code_phase = code_phase
-        epoch_doppler = carr_freq
+        epochs[k] = (iq.t0 + k * T, e, p, l, 0.0, 0.0, code_phase, carr_freq)
 
         carr_phase = float(np.mod(carr_phase + 2.0 * np.pi * carr_freq / fs * n_epoch,
                                   2.0 * np.pi))
@@ -263,23 +271,39 @@ def track_channel(iq: IqStream, init: AcquisitionResult,
         code_err_old = code_err
         code_freq = CHIP_RATE + code_nco
 
-        prompts[k % _LOCK_WINDOW] = p
-        cn0, clt = _lock_estimates(prompts, T) if k >= _LOCK_WINDOW - 1 else (0.0, 0.0)
-
-        epochs[k] = (t_k, e, p, l, cn0, clt, epoch_code_phase, epoch_doppler)
-
-        if k >= _LOCK_WINDOW - 1:
-            code_fail_run = code_fail_run + 1 if cn0 < cfg.gamma_code else 0
-            if code_fail_run >= _LOSS_OF_LOCK_EPOCHS:
-                status = STATUS_LOSS_OF_LOCK
-                epochs = epochs[:k + 1]
+        # The loops never read the lock estimates, so they are filled in
+        # _LOCK_BLOCK epochs at a time; a loss of lock inside a block
+        # truncates at the same epoch as an epoch-by-epoch check.
+        if k + 1 - lock_from == _LOCK_BLOCK or k + 1 == n_epochs_total:
+            window = epochs["p"][_ring_windows(lock_from, k + 1)]
+            cn0, clt = _lock_estimates(window, T)
+            epochs["cn0_est"][lock_from:k + 1] = cn0
+            epochs["clt_est"][lock_from:k + 1] = clt
+            for j, failed in enumerate((cn0 < cfg.gamma_code).tolist(), start=lock_from):
+                code_fail_run = code_fail_run + 1 if failed else 0
+                if code_fail_run >= _LOSS_OF_LOCK_EPOCHS:
+                    status = STATUS_LOSS_OF_LOCK
+                    epochs = epochs[:j + 1]
+                    break
+            if status == STATUS_LOSS_OF_LOCK:
                 break
+            lock_from = k + 1
 
     return TrackResult(prn=init.prn, status=status, epochs=epochs.view(np.recarray))
 
 
-def _nwpr_cn0(sum_abs_i: float, sum_sign_q: float, wide_power: float,
-              m: int, integration_time: float) -> float:
+def _ring_windows(start: int, stop: int) -> np.ndarray:
+    """Epoch indices of the lock windows ending at epochs start..stop-1.
+
+    Row r lists the last _LOCK_WINDOW epochs up to start + r, each in the
+    slot (epoch mod _LOCK_WINDOW) of a ring buffer of prompts, so the
+    estimator sums them in the order an epoch-by-epoch ring would.
+    """
+    ends = np.arange(start, stop)[:, None]
+    return ends - (ends - np.arange(_LOCK_WINDOW)) % _LOCK_WINDOW
+
+
+def _nwpr_cn0(sum_abs_i, sum_sign_q, wide_power, m: int, integration_time: float):
     """Narrowband/wideband power-ratio C/N0, in dB-Hz.
 
     The narrowband (coherent) sum uses per-epoch hard-decision data
@@ -289,27 +313,29 @@ def _nwpr_cn0(sum_abs_i: float, sum_sign_q: float, wide_power: float,
     """
     narrow = sum_abs_i * sum_abs_i + sum_sign_q * sum_sign_q
     np_ratio = narrow / wide_power
-    snr = max(np_ratio - 1.0, 1e-12) / max(m - np_ratio, 1e-9)
+    snr = np.maximum(np_ratio - 1.0, 1e-12) / np.maximum(m - np_ratio, 1e-9)
     return 10.0 * np.log10(snr / integration_time)
 
 
-def _lock_estimates(prompts: np.ndarray, integration_time: float) -> tuple[float, float]:
-    """NWPR C/N0 (dB-Hz) and cos(2*dphi) estimates over a window of prompts.
+def _lock_estimates(prompts: np.ndarray, integration_time: float):
+    """NWPR C/N0 (dB-Hz) and cos(2*dphi) estimates over windows of prompts.
 
-    The carrier-lock estimate is (sum I^2 - sum Q^2) / (sum I^2 + sum Q^2).
-    A window carrying no power reports (0.0, 0.0).
+    Each window is the last axis of `prompts`, so a (20,) window gives two
+    scalars and an (m, 20) stack two (m,) arrays. The carrier-lock estimate
+    is (sum I^2 - sum Q^2) / (sum I^2 + sum Q^2). A window carrying no power
+    reports (0.0, 0.0).
     """
-    # ndarray.sum, not np.sum: this runs once per epoch and np.sum's
-    # dispatch cost is comparable to summing 20 values.
     ip, qp = prompts.real, prompts.imag
-    sq_i = (ip * ip).sum()
-    sq_q = (qp * qp).sum()
+    sq_i = (ip * ip).sum(axis=-1)
+    sq_q = (qp * qp).sum(axis=-1)
     wide = sq_i + sq_q
-    if wide <= 0.0:
-        return 0.0, 0.0
-    cn0 = _nwpr_cn0(np.abs(ip).sum(), np.where(ip >= 0, qp, -qp).sum(), wide,
-                    prompts.size, integration_time)
-    return float(cn0), float((sq_i - sq_q) / wide)
+    powered = wide > 0.0
+    wide = np.where(powered, wide, 1.0)
+    cn0 = _nwpr_cn0(np.abs(ip).sum(axis=-1), np.where(ip >= 0, qp, -qp).sum(axis=-1),
+                    wide, prompts.shape[-1], integration_time)
+    # [()] turns the 0-d results of a single window into scalars
+    return (np.where(powered, cn0, 0.0)[()],
+            np.where(powered, (sq_i - sq_q) / wide, 0.0)[()])
 
 
 def lock_masks(epochs: np.ndarray, cfg: TrackingConfig = TrackingConfig()):

@@ -14,7 +14,7 @@ from gnssfp import fingerprint_features as ff
 from gnssfp import receiver_core as rc
 from gnssfp import signal_sim as ss
 from gnssfp.cli import build_stream
-from gnssfp.prn_codes import CHIP_RATE, generate_ca_code
+from gnssfp.prn_codes import CHIP_RATE, generate_ca_code, sample_code
 from gnssfp.spoof_detector import DECISION_AUTHENTIC
 
 
@@ -393,3 +393,151 @@ def stream_oracle(cfg):
         samples, labels = _oracle_overlay(samples, labels, fs, cfg["attack"], targets,
                                           cfg["noise_seed"], cfg["noise_power"])
     return samples, labels
+
+
+# -- per-period acquisition and per-epoch tracking -------------------------------
+# The receiver loops as they were before batching: one FFT pair per code
+# period and Doppler bin, np.mod code indices into one code period, and the
+# lock estimates recomputed from a ring of prompts after every epoch.
+
+def acquire_oracle(iq, prn, doppler_range=5000.0, doppler_bin=250.0):
+    """rc.acquire with one FFT pair per code period, summed in a Python loop."""
+    fs = iq.sample_rate
+    period = int(round(fs * 1023 / CHIP_RATE))
+    if len(iq.samples) < 2 * period:
+        raise ValueError("need at least two code periods")
+    num_periods = min(rc._ACQ_PERIODS, len(iq.samples) // period)
+    replica = sample_code(generate_ca_code(prn), fs, CHIP_RATE, 0.0,
+                             period).astype(np.float64)
+    replica_fft_conj = np.conj(np.fft.fft(replica))
+    dopplers = np.arange(-doppler_range, doppler_range + doppler_bin / 2, doppler_bin)
+    t = np.arange(period) / fs
+    n_corr = num_periods * period
+    x_re = iq.samples[:n_corr].real.astype(np.float64)
+    x_im = iq.samples[:n_corr].imag.astype(np.float64)
+
+    best = (-1.0, 0, 0.0)
+    best_map = None
+    seg = np.empty(period, dtype=np.complex128)
+    for f in dopplers:
+        theta = 2.0 * np.pi * f * t
+        c, s = np.cos(theta), np.sin(theta)
+        acc = np.zeros(period)
+        for p in range(num_periods):
+            sl = slice(p * period, (p + 1) * period)
+            seg.real = x_re[sl] * c + x_im[sl] * s
+            seg.imag = x_im[sl] * c - x_re[sl] * s
+            corr = np.fft.ifft(np.fft.fft(seg) * replica_fft_conj)
+            acc += corr.real ** 2 + corr.imag ** 2
+        k = int(np.argmax(acc))
+        if acc[k] > best[0]:
+            best = (acc[k], k, float(f))
+            best_map = acc
+
+    peak_power, k_peak, doppler_hat = best
+    guard = int(np.ceil(fs / CHIP_RATE))
+    mask = np.ones(period, dtype=bool)
+    for off in range(-guard, guard + 1):
+        mask[(k_peak + off) % period] = False
+    second = best_map[mask].max()
+    metric = float(np.sqrt(peak_power / second)) if second > 0 else np.inf
+    code_phase = ((period - k_peak) % period) * CHIP_RATE / fs
+    acquired = metric >= rc._ACQ_THRESHOLD
+    if acquired:
+        doppler_hat += rc._refine_doppler(iq, replica, k_peak, doppler_hat, period)
+    return rc.AcquisitionResult(prn=prn, code_phase=float(code_phase % 1023),
+                                doppler=doppler_hat, peak_metric=metric,
+                                acquired=acquired)
+
+
+def _lock_estimates_oracle(prompts, integration_time):
+    """NWPR C/N0 and cos(2*dphi) of one window, in scalar arithmetic."""
+    ip, qp = prompts.real, prompts.imag
+    sq_i = (ip * ip).sum()
+    sq_q = (qp * qp).sum()
+    wide = sq_i + sq_q
+    if wide <= 0.0:
+        return 0.0, 0.0
+    sum_abs_i = np.abs(ip).sum()
+    sum_sign_q = np.where(ip >= 0, qp, -qp).sum()
+    np_ratio = (sum_abs_i * sum_abs_i + sum_sign_q * sum_sign_q) / wide
+    snr = max(np_ratio - 1.0, 1e-12) / max(prompts.size - np_ratio, 1e-9)
+    return float(10.0 * np.log10(snr / integration_time)), float((sq_i - sq_q) / wide)
+
+
+def track_channel_oracle(iq, init, cfg=rc.TrackingConfig()):
+    """rc.track_channel with np.mod code indices and a lock check per epoch.
+
+    Returns (status, EPOCH_DTYPE array).
+    """
+    fs = iq.sample_rate
+    n_epoch = int(round(fs * cfg.integration_time))
+    n_epochs_total = len(iq.samples) // n_epoch
+    chips = generate_ca_code(init.prn).chips.astype(np.float64)
+    half = cfg.el_spacing / 2.0
+    tau1_d, tau2_d = rc._loop_coefficients(cfg.dll_bandwidth, 0.707, 1.0)
+    tau1_c, tau2_c = rc._loop_coefficients(cfg.pll_bandwidth, 0.707, 0.25)
+    T = cfg.integration_time
+
+    code_phase = init.code_phase
+    code_freq = CHIP_RATE
+    carr_freq = init.doppler
+    carr_phase = 0.0
+    code_nco = code_err_old = 0.0
+    carr_nco = carr_err_old = 0.0
+    i_arr = np.arange(n_epoch, dtype=np.float64)
+    prompts = np.zeros(rc._LOCK_WINDOW, dtype=np.complex128)
+    epochs = np.zeros(n_epochs_total, dtype=rc.EPOCH_DTYPE)
+    status = rc.STATUS_COMPLETED
+    code_fail_run = 0
+
+    for k in range(n_epochs_total):
+        blk = iq.samples[k * n_epoch:(k + 1) * n_epoch]
+        re = blk.real.astype(np.float64)
+        im = blk.imag.astype(np.float64)
+        base = code_phase + (code_freq / fs) * i_arr
+        idx_p = np.mod(base, 1023.0).astype(np.int64)
+        idx_e = np.mod(base + half, 1023.0).astype(np.int64)
+        idx_l = np.mod(base - half, 1023.0).astype(np.int64)
+        theta = (2.0 * np.pi * carr_freq / fs) * i_arr + carr_phase
+        c, s = np.cos(theta), np.sin(theta)
+        xr = re * c
+        xr += im * s
+        xi = im * c
+        xi -= re * s
+        ce, cp, cl = chips[idx_e], chips[idx_p], chips[idx_l]
+        e = complex(xr @ ce, xi @ ce)
+        p = complex(xr @ cp, xi @ cp)
+        l = complex(xr @ cl, xi @ cl)
+        t_k = iq.t0 + k * T
+        epoch_code_phase = code_phase
+        epoch_doppler = carr_freq
+
+        carr_phase = float(np.mod(carr_phase + 2.0 * np.pi * carr_freq / fs * n_epoch,
+                                  2.0 * np.pi))
+        code_phase = float(np.mod(code_phase + code_freq / fs * n_epoch, 1023))
+
+        ip, qp = p.real, p.imag
+        carr_err = np.arctan(qp / ip) / (2.0 * np.pi) if ip != 0.0 else 0.25
+        carr_nco += (tau2_c / tau1_c) * (carr_err - carr_err_old) + carr_err * (T / tau1_c)
+        carr_err_old = carr_err
+        carr_freq = init.doppler + carr_nco
+        abs_e, abs_l = abs(e), abs(l)
+        denom = abs_e + abs_l
+        code_err = (abs_e - abs_l) / denom if denom > 0 else 0.0
+        code_nco += (tau2_d / tau1_d) * (code_err - code_err_old) + code_err * (T / tau1_d)
+        code_err_old = code_err
+        code_freq = CHIP_RATE + code_nco
+
+        prompts[k % rc._LOCK_WINDOW] = p
+        cn0, clt = (_lock_estimates_oracle(prompts, T) if k >= rc._LOCK_WINDOW - 1
+                    else (0.0, 0.0))
+        epochs[k] = (t_k, e, p, l, cn0, clt, epoch_code_phase, epoch_doppler)
+
+        if k >= rc._LOCK_WINDOW - 1:
+            code_fail_run = code_fail_run + 1 if cn0 < cfg.gamma_code else 0
+            if code_fail_run >= rc._LOSS_OF_LOCK_EPOCHS:
+                status = rc.STATUS_LOSS_OF_LOCK
+                epochs = epochs[:k + 1]
+                break
+    return status, epochs

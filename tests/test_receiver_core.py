@@ -1,9 +1,16 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gnssfp import receiver_core as rc
 from gnssfp import signal_sim as ss
-from helpers import epoch_array
+from gnssfp.cli import build_stream, load_scenario
+from gnssfp.prn_codes import generate_ca_code
+from helpers import acquire_oracle, epoch_array, track_channel_oracle
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 TRUE_DOPPLER = 1200.0
 TRUE_CP0 = 345.6
@@ -113,12 +120,120 @@ class TestTracking:
         with pytest.raises(ValueError):
             rc.track_channel(iq, bad)
 
+    @pytest.mark.parametrize("code_phase", [-0.5, 1023.0, float("nan")])
+    def test_rejects_code_phase_outside_one_period(self, code_phase):
+        # the replica indices assume 0 <= code phase < 1023 chips
+        iq = ss.synthesize_genuine([], duration=0.01, noise_seed=42)
+        with pytest.raises(ValueError, match="code phase"):
+            rc.track_channel(iq, truth_init(7, code_phase, 0.0))
+
     def test_loss_of_lock_on_noise_only(self):
         iq = ss.synthesize_genuine([], duration=0.5, noise_seed=43)
         track = rc.track_channel(iq, truth_init(3, 0.0, 0.0))
         assert track.status == rc.STATUS_LOSS_OF_LOCK
         # 19 warm-up epochs + 50 consecutive code-test failures
         assert len(track.epochs) == 69
+
+    def test_late_replica_just_below_chip_zero(self):
+        # base - half = -1e-15 chip: np.mod(-1e-15, 1023.0) rounds to 1023.0,
+        # one past the last chip; the late replica must use chip 1022
+        iq = ss.synthesize_genuine([], duration=0.05, noise_seed=42)
+        init = truth_init(7, 0.25 - 1e-15, 0.0)
+        track = rc.track_channel(iq, init)
+        assert track.status == rc.STATUS_COMPLETED
+        assert len(track.epochs) == 50
+
+        n = int(round(iq.sample_rate * 1e-3))
+        chips = generate_ca_code(7).chips.astype(np.float64)
+        step = 1.023e6 / iq.sample_rate
+        late = np.array([chips[math.floor(init.code_phase + step * i - 0.25) % 1023]
+                         for i in range(n)])
+        x = iq.samples[:n]
+        assert track.epochs[0].l == complex(x.real.astype(np.float64) @ late,
+                                            x.imag.astype(np.float64) @ late)
+
+
+def _scenario_stream(name, duration):
+    cfg = load_scenario(str(SCENARIOS / f"{name}.json"))
+    cfg["duration"] = duration
+    return cfg, build_stream(cfg)
+
+
+@pytest.fixture(scope="module")
+def oracle_streams():
+    """Streams of the oracle cases: case -> (stream, PRNs)."""
+    noiseless_cfg, noiseless = _scenario_stream("tracking_noiseless", 2.0)
+    takeover_cfg, takeover = _scenario_stream("takeover_attack", 0.5)
+    return {"tracking_noiseless": (noiseless, [s.prn for s in noiseless_cfg["satellites"]]),
+            "takeover_attack": (takeover, [s.prn for s in takeover_cfg["satellites"]]),
+            "noise_only": (ss.synthesize_genuine([], duration=0.5, noise_seed=43), [3])}
+
+
+@pytest.fixture(scope="module")
+def oracle_channels(oracle_streams):
+    """Per-epoch oracle tracking: case -> [(stream, init, status, epochs)]."""
+    cases = {}
+    for case, (iq, prns) in oracle_streams.items():
+        inits = ([truth_init(3, 0.0, 0.0)] if case == "noise_only"
+                 else [acquire_oracle(iq, prn) for prn in prns])
+        cases[case] = [(iq, init, *track_channel_oracle(iq, init)) for init in inits]
+    return cases
+
+
+class TestPerEpochOracle:
+    """acquire and track_channel equal the per-period and per-epoch loops bit
+    for bit, at any lock-estimate block size."""
+
+    @pytest.mark.parametrize("block", [1, 7, rc._LOCK_BLOCK])
+    @pytest.mark.parametrize("case", ["tracking_noiseless", "takeover_attack", "noise_only"])
+    def test_track_channel(self, oracle_channels, monkeypatch, case, block):
+        monkeypatch.setattr(rc, "_LOCK_BLOCK", block)
+        for iq, init, status, epochs in oracle_channels[case]:
+            assert init.acquired
+            track = rc.track_channel(iq, init)
+            assert track.status == status
+            assert track.epochs.tobytes() == epochs.tobytes()
+
+    @pytest.mark.parametrize("integration_time", [2e-3, 5e-3])
+    def test_track_channel_multi_period_epochs(self, monkeypatch, integration_time):
+        # an epoch of several code periods starting near chip 1022 indexes
+        # past three periods of the chip table
+        monkeypatch.setattr(rc, "_LOCK_BLOCK", 7)
+        scen = ss.SatelliteScenario(prn=7, doppler=300.0, code_phase0=1022.6,
+                                    cn0=50.0, nav_seed=3)
+        iq = ss.synthesize_genuine([scen], duration=0.2, noise_seed=5)
+        cfg = rc.TrackingConfig(integration_time=integration_time)
+        init = truth_init(7, 1022.6, 300.0)
+        status, epochs = track_channel_oracle(iq, init, cfg)
+        track = rc.track_channel(iq, init, cfg)
+        assert track.status == status
+        assert len(epochs) == round(0.2 / integration_time)
+        assert track.epochs.tobytes() == epochs.tobytes()
+
+    def test_oracle_cases_cover_lock_and_loss_of_lock(self, oracle_channels):
+        statuses = {case: [(status, len(epochs)) for _, _, status, epochs in channels]
+                    for case, channels in oracle_channels.items()}
+        assert statuses["tracking_noiseless"] == [(rc.STATUS_COMPLETED, 2000)]
+        assert statuses["takeover_attack"] == [(rc.STATUS_COMPLETED, 500)] * 4
+        assert statuses["noise_only"] == [(rc.STATUS_LOSS_OF_LOCK, 69)]
+
+    @pytest.mark.parametrize("case,prns,grid,periods,acquired", [
+        ("tracking_noiseless", [7], {}, None, [True]),
+        ("takeover_attack", [3, 7, 11, 19], {}, None, [True] * 4),
+        ("takeover_attack", [1, 2, 5], {}, None, [False] * 3),  # not in the sky
+        ("takeover_attack", [7, 11, 4], {"doppler_range": 3100.0, "doppler_bin": 370.0},
+         None, [True, True, False]),
+        ("takeover_attack", [3, 19, 6], {}, 5, [True, True, False]),  # refined over 4 periods
+        ("takeover_attack", [3, 19, 6], {}, 3, [True, True, False]),  # too short to refine
+    ])
+    def test_acquire(self, oracle_streams, case, prns, grid, periods, acquired):
+        iq, _ = oracle_streams[case]
+        if periods is not None:
+            n = periods * int(round(iq.sample_rate * 1e-3))
+            iq = ss.IqStream(iq.samples[:n], iq.sample_rate, iq.t0)
+        results = [rc.acquire(iq, prn, **grid) for prn in prns]
+        assert results == [acquire_oracle(iq, prn, **grid) for prn in prns]
+        assert [r.acquired for r in results] == acquired
 
 
 class TestMultipathTrackingBias:
