@@ -23,7 +23,7 @@ import numpy as np
 from .fingerprint_features import FEATURE_DTYPE, FeatureWindowConfig
 from .mvn_model import from_moments
 from .receiver_core import EPOCH_DTYPE
-from .signal_sim import LABEL_NAMES, IqStream
+from .signal_sim import BLOCK_SAMPLES, LABEL_NAMES, IqStream
 from .spoof_detector import Decision, DetectorProfile
 
 MODEL_FORMAT = "gnssfp-profile"
@@ -32,7 +32,8 @@ MANIFEST_FORMAT = "gnssfp-manifest"
 MANIFEST_VERSION = 1
 
 _SAMPLE_DTYPES = {"int8": np.int8, "int16": np.int16, "float32": np.float32}
-_CHUNK = 1 << 16  # samples read_iq decodes, and labels CaptureWriter writes, at a time
+_CHUNK = 1 << 16  # samples read_iq decodes, and labels CaptureWriter writes or
+# load_label_runs reads, at a time
 
 
 class FormatError(ValueError):
@@ -178,6 +179,18 @@ def read_meta(path) -> CaptureMeta:
     return CaptureMeta(**raw)
 
 
+def capture_length(path, meta: CaptureMeta) -> int:
+    """Samples in a raw IQ payload: its size in whole I,Q pairs of the
+    declared format. Trailing bytes short of a pair are a FormatError."""
+    pair = 2 * np.dtype(_SAMPLE_DTYPES[meta.sample_format]).itemsize
+    size = os.path.getsize(str(path))
+    if size % pair:
+        raise FormatError(f"{path}: {size} bytes is not a whole number of "
+                          f"{meta.sample_format} I,Q pairs; trailing data at byte "
+                          f"offset {size - size % pair}")
+    return size // pair
+
+
 def read_iq(path, meta: CaptureMeta | None = None, decimate: int = 1,
             offset_samples: int = 0, count: int | None = None) -> IqStream:
     """Decode interleaved I,Q into an IqStream.
@@ -192,14 +205,12 @@ def read_iq(path, meta: CaptureMeta | None = None, decimate: int = 1,
         meta = read_meta(path)
     if decimate < 1 or int(decimate) != decimate:
         raise ValueError(f"decimate must be a positive integer, got {decimate}")
+    if offset_samples < 0:
+        raise ValueError(f"offset_samples must be >= 0, got {offset_samples}")
+    if count is not None and count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     width = np.dtype(_SAMPLE_DTYPES[meta.sample_format]).itemsize
-    block = 2 * width
-    size = os.path.getsize(str(path))
-    if size % block:
-        raise FormatError(f"{path}: {size} bytes is not a whole number of "
-                          f"{meta.sample_format} I,Q pairs; trailing data at byte "
-                          f"offset {size - size % block}")
-    total = size // block
+    total = capture_length(path, meta)
     if offset_samples > total:
         raise ValueError(f"offset {offset_samples} beyond capture of {total} samples")
     n_read = total - offset_samples if count is None else min(count, total - offset_samples)
@@ -210,7 +221,7 @@ def read_iq(path, meta: CaptureMeta | None = None, decimate: int = 1,
     with open(str(path), "rb") as f:
         for j0 in range(0, len(samples), _CHUNK):
             part = samples[j0:j0 + _CHUNK]
-            f.seek((offset_samples + j0 * decimate) * block)
+            f.seek((offset_samples + j0 * decimate) * 2 * width)
             raw = np.fromfile(f, dtype=meta.dtype, count=2 * ((len(part) - 1) * decimate + 1))
             i_part, q_part = raw[0::2 * decimate], raw[1::2 * decimate]
             if meta.iq_swap:
@@ -223,24 +234,58 @@ def read_iq(path, meta: CaptureMeta | None = None, decimate: int = 1,
                     t0=meta.t0 + offset_samples / meta.sample_rate)
 
 
-def load_labels(path, n_samples: int) -> np.ndarray:
-    """Read a labels .npy file: one uint8 code of LABEL_NAMES per sample of
-    an n_samples capture. Any other shape, type or code is a ValueError
-    naming the file."""
-    try:
-        with open(str(path), "rb") as f:
-            labels = np.lib.format.read_array(f)
-    except ValueError as exc:
-        raise ValueError(f"{path}: not a labels .npy array: {exc}") from exc
-    if labels.dtype != np.uint8 or labels.shape != (n_samples,):
-        raise ValueError(f"{path}: labels must be a 1-D uint8 array of {n_samples} "
-                         f"entries, one per capture sample; got {labels.dtype} "
-                         f"of shape {labels.shape}")
-    top = max(LABEL_NAMES)  # the codes are 0..top
-    if labels.max(initial=0) > top:
-        raise ValueError(f"{path}: unknown label codes {np.unique(labels[labels > top]).tolist()}"
+def iq_blocks(path, meta: CaptureMeta):
+    """Yield a capture as consecutive IqStream blocks of BLOCK_SAMPLES samples
+    (the last one shorter), each decoded by read_iq when it is asked for."""
+    for offset in range(0, capture_length(path, meta), BLOCK_SAMPLES):
+        yield read_iq(path, meta, offset_samples=offset, count=BLOCK_SAMPLES)
+
+
+_NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                       (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def load_label_runs(path, n_samples: int) -> list:
+    """Read a labels .npy file, one uint8 code of LABEL_NAMES per sample of
+    an n_samples capture, as the (start, stop, code) runs of sample indices
+    that CaptureWriter writes.
+
+    The file is checked and run-length encoded _CHUNK entries at a time.
+    Any other shape, type or code is a ValueError naming the file.
+    """
+    with open(str(path), "rb") as f:
+        try:
+            version = np.lib.format.read_magic(f)
+            if version not in _NPY_HEADER_READERS:
+                raise ValueError(f"unsupported .npy format version {version}")
+            shape, _, dtype = _NPY_HEADER_READERS[version](f)
+            if dtype.hasobject:
+                raise ValueError(f"{dtype} entries are Python objects, not label codes")
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a labels .npy array: {exc}") from exc
+        if dtype != np.uint8 or shape != (n_samples,):
+            raise ValueError(f"{path}: labels must be a 1-D uint8 array of {n_samples} "
+                             f"entries, one per capture sample; got {dtype} "
+                             f"of shape {shape}")
+        top = max(LABEL_NAMES)  # the codes are 0..top
+        runs, unknown = [], set()
+        for i0 in range(0, n_samples, _CHUNK):
+            chunk = np.fromfile(f, dtype=np.uint8, count=min(_CHUNK, n_samples - i0))
+            if len(chunk) < min(_CHUNK, n_samples - i0):
+                raise ValueError(f"{path}: not a labels .npy array: the file ends after "
+                                 f"{i0 + len(chunk)} of {n_samples} entries")
+            unknown.update(np.unique(chunk[chunk > top]).tolist())
+            edges = [0, *(np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist(), len(chunk)]
+            for a, b in zip(edges, edges[1:]):
+                code = int(chunk[a])
+                if runs and runs[-1][2] == code:  # a run that goes on across chunks
+                    runs[-1] = (runs[-1][0], i0 + b, code)
+                else:
+                    runs.append((i0 + a, i0 + b, code))
+    if unknown:
+        raise ValueError(f"{path}: unknown label codes {sorted(unknown)}"
                          f"; expected codes of {LABEL_NAMES}")
-    return labels
+    return runs
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .capture_io import (CaptureMeta, DatasetManifest, FormatError,
 from .fingerprint_features import FeatureWindowConfig, extract_features, feature_matrix
 from .receiver_core import (EPOCH_DTYPE, LOCK_FAIL_BOTH, LOCK_FAIL_CARRIER,
                             LOCK_FAIL_CODE, LOCK_PASS, TrackingConfig, TrackResult,
-                            acquire, lock_masks, track_channel)
+                            acquire, acquisition_samples, lock_masks, track_channel)
 from .signal_sim import AttackConfig, HardwareSignature, IqStream, SatelliteScenario
 
 EXIT_OK = 0
@@ -226,17 +226,21 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _track_prns(stream: IqStream, args, trk_cfg: TrackingConfig) -> list:
-    """Acquire and track each requested PRN, one after another.
+def _track_prns(capture: str, meta: CaptureMeta, args, trk_cfg: TrackingConfig) -> list:
+    """Acquire and track each requested PRN of a capture, one after another.
 
-    Returns (prn, TrackResult or None when not acquired, AcquisitionResult)
-    in ascending PRN order.
+    Every PRN is acquired on the one head of the capture that `acquire`
+    reads and tracked from its own pass of block reads, so memory holds a
+    block of the capture, never the whole of it. Returns (prn, TrackResult
+    or None when not acquired, AcquisitionResult) in ascending PRN order.
     """
+    head = capture_io.read_iq(capture, meta, count=acquisition_samples(meta.sample_rate))
     results = []
     for prn in sorted(set(args.prn)):
-        acq = acquire(stream, prn, doppler_range=args.doppler_range,
+        acq = acquire(head, prn, doppler_range=args.doppler_range,
                       doppler_bin=args.doppler_bin)
-        track = track_channel(stream, acq, trk_cfg) if acq.acquired else None
+        track = (track_channel(capture_io.iq_blocks(capture, meta), acq, trk_cfg)
+                 if acq.acquired else None)
         results.append((prn, track, acq))
     return results
 
@@ -264,9 +268,9 @@ def _channels_record(capture, results) -> dict:
 
 
 def cmd_track(args) -> int:
-    stream = capture_io.read_iq(args.capture)
+    meta = capture_io.read_meta(args.capture)
     os.makedirs(args.out, exist_ok=True)
-    results = _track_prns(stream, args, TrackingConfig())
+    results = _track_prns(args.capture, meta, args, TrackingConfig())
 
     any_tracked = False
     for prn, track, acq_result in results:
@@ -392,12 +396,12 @@ def cmd_detect(args) -> int:
             epochs = capture_io.read_epochs_csv(path)
             results.append((prn, TrackResult(prn, _EPOCH_CSV_STATUS, epochs), None))
     else:
-        stream = capture_io.read_iq(args.capture)
+        meta = capture_io.read_meta(args.capture)
         if args.labels:
-            label_ivs = signal_sim.label_intervals(
-                capture_io.load_labels(args.labels, len(stream.samples)),
-                stream.sample_rate, stream.t0)
-        results = _track_prns(stream, args, trk_cfg)
+            runs = capture_io.load_label_runs(args.labels,
+                                              capture_io.capture_length(args.capture, meta))
+            label_ivs = signal_sim.label_intervals(runs, meta.sample_rate, meta.t0)
+        results = _track_prns(args.capture, meta, args, trk_cfg)
     _write_run_record(args.out, "detect", None, _channels_record(args.capture, results))
 
     decisions_by_prn = {}

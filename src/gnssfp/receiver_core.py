@@ -20,6 +20,7 @@ cos(2*dphi) (>= gamma_carrier, default 0.5).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,7 @@ def acquire(iq: IqStream, prn: int, doppler_range: float = 5000.0,
     consecutive-period correlations (squared to shed bit flips).
     """
     fs = iq.sample_rate
-    period = int(round(fs * CODE_LENGTH / CHIP_RATE))
+    period = _code_period(fs)
     if len(iq.samples) < 2 * period:
         raise ValueError(f"need at least two code periods ({2 * period} samples), "
                          f"got {len(iq.samples)}")
@@ -151,6 +152,21 @@ def acquire(iq: IqStream, prn: int, doppler_range: float = 5000.0,
                              acquired=acquired)
 
 
+def _code_period(sample_rate: float) -> int:
+    """Samples in one C/A code period."""
+    return int(round(sample_rate * CODE_LENGTH / CHIP_RATE))
+
+
+def acquisition_samples(sample_rate: float) -> int:
+    """Samples from the start of a stream that `acquire` reads.
+
+    Enough for the _ACQ_PERIODS it correlates and for the _REFINE_PERIODS
+    of its Doppler refinement, which asks for one period more, so `acquire`
+    on this head of a longer stream equals `acquire` on the whole stream.
+    """
+    return max(_ACQ_PERIODS, _REFINE_PERIODS + 1) * _code_period(sample_rate)
+
+
 def _refine_doppler(iq: IqStream, replica: np.ndarray, lag: int,
                     doppler: float, period: int) -> float:
     """Residual Doppler from the phase ramp of per-period prompt sums."""
@@ -182,22 +198,32 @@ def _loop_coefficients(bandwidth: float, damping: float, gain: float):
     return tau1, tau2
 
 
-def track_channel(iq: IqStream, init: AcquisitionResult,
+def track_channel(blocks, init: AcquisitionResult,
                   cfg: TrackingConfig = TrackingConfig()) -> TrackResult:
-    """Run the DLL/PLL channel over the whole stream, one epoch per record.
+    """Run the DLL/PLL channel over a stream, one epoch per record.
 
-    Returns one EPOCH_DTYPE record per integration_time, timestamps exactly
-    one integration time apart. Terminates early with a loss-of-lock status
-    when the C/N0 test fails 50 epochs in a row (after warm-up).
+    `blocks` is an IqStream, or consecutive IqStream blocks of one stream
+    (the whole stream is the one-block case). The loop, NCO and lock state,
+    the global epoch index and the samples of an epoch that straddles a
+    block edge carry from block to block, so any split of the stream gives
+    the same epochs bit for bit, and blocks are read only as far as
+    tracking goes. Returns one EPOCH_DTYPE record per integration_time,
+    timestamped t0 + k * integration_time from the first block's t0.
+    Terminates early with a loss-of-lock status when the C/N0 test fails 50
+    epochs in a row (after warm-up).
     """
     if not init.acquired:
         raise ValueError(f"cannot track PRN {init.prn}: acquisition failed")
     if not 0.0 <= init.code_phase < CODE_LENGTH:
         raise ValueError(f"initial code phase must be in [0, {CODE_LENGTH}) chips, "
                          f"got {init.code_phase}")
-    fs = iq.sample_rate
+    blocks = iter((blocks,) if isinstance(blocks, IqStream) else blocks)
+    first = next(blocks, None)
+    if first is None:
+        return TrackResult(prn=init.prn, status=STATUS_COMPLETED,
+                           epochs=np.zeros(0, dtype=EPOCH_DTYPE).view(np.recarray))
+    fs, t0 = first.sample_rate, first.t0
     n_epoch = int(round(fs * cfg.integration_time))
-    n_epochs_total = len(iq.samples) // n_epoch
 
     # The initial code phase, one epoch of code and a spare period, so the
     # replica gathers index without a modulo (three periods at 1 ms).
@@ -218,78 +244,111 @@ def track_channel(iq: IqStream, init: AcquisitionResult,
 
     i_arr = np.arange(n_epoch, dtype=np.float64)
 
-    epochs = np.zeros(n_epochs_total, dtype=EPOCH_DTYPE)
-    status = STATUS_COMPLETED
+    epochs = np.zeros(0, dtype=EPOCH_DTYPE)
+    n_epochs = 0  # epochs tracked so far; the global index of the next one
+    partial = np.zeros(0, dtype=np.complex64)  # samples of an unfinished epoch
     code_fail_run = 0
     lock_from = _LOCK_WINDOW - 1  # first epoch without lock estimates yet
+    lost_at = None  # the epoch at which the C/N0 test ends the channel
 
-    for k in range(n_epochs_total):
-        blk = iq.samples[k * n_epoch:(k + 1) * n_epoch]
-        re = blk.real.astype(np.float64)
-        im = blk.imag.astype(np.float64)
+    for block in itertools.chain((first,), blocks):
+        if block.sample_rate != fs:
+            raise ValueError(f"blocks of one stream must share a sample rate: "
+                             f"{block.sample_rate} after {fs}")
+        samples = np.concatenate((partial, block.samples)) if len(partial) else block.samples
+        k0, n_epochs = n_epochs, n_epochs + len(samples) // n_epoch
+        partial = samples[(n_epochs - k0) * n_epoch:].copy()
+        if n_epochs > len(epochs):
+            # Doubled in place (realloc, zero-filled) rather than copied, so
+            # growing never holds the old and the new records at once; no
+            # view of the records is alive here. A lone stream fits exactly.
+            epochs.resize(max(n_epochs, 2 * len(epochs)), refcheck=False)
 
-        # base is >= 0 and stays below code_phase < 1023 plus one epoch of
-        # code (about 2,047 chips at 1 ms). For x >= 0, floor(fmod(x, 1023))
-        # equals floor(x) mod 1023 exactly, since fmod is exact, so indexing
-        # the periodic table at floor(x) picks the chip np.mod picked. The
-        # late index is -1 for base - half in [-half, 0) and wraps to chip
-        # 1022, where np.mod could round up to 1023.0 and overrun.
-        base = code_phase + (code_freq / fs) * i_arr
-        idx_p = base.astype(np.int64)
-        idx_e = (base + half).astype(np.int64)
-        idx_l = np.floor(base - half).astype(np.int64)
+        for k in range(k0, n_epochs):
+            blk = samples[(k - k0) * n_epoch:(k - k0 + 1) * n_epoch]
+            re = blk.real.astype(np.float64)
+            im = blk.imag.astype(np.float64)
 
-        # carrier wipe x = blk * exp(-j theta), kept in split real arithmetic
-        theta = (2.0 * np.pi * carr_freq / fs) * i_arr + carr_phase
-        c, s = np.cos(theta), np.sin(theta)
-        xr = re * c
-        xr += im * s
-        xi = im * c
-        xi -= re * s
+            # base is >= 0 and stays below code_phase < 1023 plus one epoch of
+            # code (about 2,047 chips at 1 ms). For x >= 0, floor(fmod(x, 1023))
+            # equals floor(x) mod 1023 exactly, since fmod is exact, so indexing
+            # the periodic table at floor(x) picks the chip np.mod picked. The
+            # late index is -1 for base - half in [-half, 0) and wraps to chip
+            # 1022, where np.mod could round up to 1023.0 and overrun.
+            base = code_phase + (code_freq / fs) * i_arr
+            idx_p = base.astype(np.int64)
+            idx_e = (base + half).astype(np.int64)
+            idx_l = np.floor(base - half).astype(np.int64)
 
-        ce, cp, cl = chips[idx_e], chips[idx_p], chips[idx_l]
-        e = complex(xr @ ce, xi @ ce)
-        p = complex(xr @ cp, xi @ cp)
-        l = complex(xr @ cl, xi @ cl)
+            # carrier wipe x = blk * exp(-j theta), kept in split real arithmetic
+            theta = (2.0 * np.pi * carr_freq / fs) * i_arr + carr_phase
+            c, s = np.cos(theta), np.sin(theta)
+            xr = re * c
+            xr += im * s
+            xi = im * c
+            xi -= re * s
 
-        epochs[k] = (iq.t0 + k * T, e, p, l, 0.0, 0.0, code_phase, carr_freq)
+            ce, cp, cl = chips[idx_e], chips[idx_p], chips[idx_l]
+            e = complex(xr @ ce, xi @ ce)
+            p = complex(xr @ cp, xi @ cp)
+            l = complex(xr @ cl, xi @ cl)
 
-        carr_phase = float(np.mod(carr_phase + 2.0 * np.pi * carr_freq / fs * n_epoch,
-                                  2.0 * np.pi))
-        code_phase = float(np.mod(code_phase + code_freq / fs * n_epoch, CODE_LENGTH))
+            epochs[k] = (t0 + k * T, e, p, l, 0.0, 0.0, code_phase, carr_freq)
 
-        ip, qp = p.real, p.imag
-        carr_err = np.arctan(qp / ip) / (2.0 * np.pi) if ip != 0.0 else 0.25
-        carr_nco += (tau2_c / tau1_c) * (carr_err - carr_err_old) + carr_err * (T / tau1_c)
-        carr_err_old = carr_err
-        carr_freq = init.doppler + carr_nco
+            carr_phase = float(np.mod(carr_phase + 2.0 * np.pi * carr_freq / fs * n_epoch,
+                                      2.0 * np.pi))
+            code_phase = float(np.mod(code_phase + code_freq / fs * n_epoch, CODE_LENGTH))
 
-        abs_e, abs_l = abs(e), abs(l)
-        denom = abs_e + abs_l
-        code_err = (abs_e - abs_l) / denom if denom > 0 else 0.0
-        code_nco += (tau2_d / tau1_d) * (code_err - code_err_old) + code_err * (T / tau1_d)
-        code_err_old = code_err
-        code_freq = CHIP_RATE + code_nco
+            ip, qp = p.real, p.imag
+            carr_err = np.arctan(qp / ip) / (2.0 * np.pi) if ip != 0.0 else 0.25
+            carr_nco += (tau2_c / tau1_c) * (carr_err - carr_err_old) + carr_err * (T / tau1_c)
+            carr_err_old = carr_err
+            carr_freq = init.doppler + carr_nco
 
-        # The loops never read the lock estimates, so they are filled in
-        # _LOCK_BLOCK epochs at a time; a loss of lock inside a block
-        # truncates at the same epoch as an epoch-by-epoch check.
-        if k + 1 - lock_from == _LOCK_BLOCK or k + 1 == n_epochs_total:
-            window = epochs["p"][_ring_windows(lock_from, k + 1)]
-            cn0, clt = _lock_estimates(window, T)
-            epochs["cn0_est"][lock_from:k + 1] = cn0
-            epochs["clt_est"][lock_from:k + 1] = clt
-            for j, failed in enumerate((cn0 < cfg.gamma_code).tolist(), start=lock_from):
-                code_fail_run = code_fail_run + 1 if failed else 0
-                if code_fail_run >= _LOSS_OF_LOCK_EPOCHS:
-                    status = STATUS_LOSS_OF_LOCK
-                    epochs = epochs[:j + 1]
+            abs_e, abs_l = abs(e), abs(l)
+            denom = abs_e + abs_l
+            code_err = (abs_e - abs_l) / denom if denom > 0 else 0.0
+            code_nco += (tau2_d / tau1_d) * (code_err - code_err_old) + code_err * (T / tau1_d)
+            code_err_old = code_err
+            code_freq = CHIP_RATE + code_nco
+
+            # The loops never read the lock estimates, so they are filled in
+            # _LOCK_BLOCK epochs at a time, and at the end of the stream; a
+            # loss of lock inside a block truncates at the same epoch as an
+            # epoch-by-epoch check.
+            if k + 1 - lock_from == _LOCK_BLOCK:
+                code_fail_run, lost_at = _fill_lock_estimates(epochs, lock_from, k + 1,
+                                                              cfg, code_fail_run)
+                if lost_at is not None:
                     break
-            if status == STATUS_LOSS_OF_LOCK:
-                break
-            lock_from = k + 1
+                lock_from = k + 1
+        if lost_at is not None:
+            break
+    else:
+        _, lost_at = _fill_lock_estimates(epochs, lock_from, n_epochs, cfg, code_fail_run)
 
+    status = STATUS_COMPLETED if lost_at is None else STATUS_LOSS_OF_LOCK
+    epochs.resize(n_epochs if lost_at is None else lost_at + 1, refcheck=False)
     return TrackResult(prn=init.prn, status=status, epochs=epochs.view(np.recarray))
+
+
+def _fill_lock_estimates(epochs: np.ndarray, start: int, stop: int, cfg: TrackingConfig,
+                         code_fail_run: int):
+    """Fill the lock estimates of epochs start..stop-1 in place and carry the
+    run of C/N0 test failures through them.
+
+    Returns the run and the epoch at which it reaches _LOSS_OF_LOCK_EPOCHS,
+    or None while the channel keeps lock.
+    """
+    cn0, clt = _lock_estimates(epochs["p"][_ring_windows(start, stop)],
+                               cfg.integration_time)
+    epochs["cn0_est"][start:stop] = cn0
+    epochs["clt_est"][start:stop] = clt
+    for j, failed in enumerate((cn0 < cfg.gamma_code).tolist(), start=start):
+        code_fail_run = code_fail_run + 1 if failed else 0
+        if code_fail_run >= _LOSS_OF_LOCK_EPOCHS:
+            return code_fail_run, j
+    return code_fail_run, None
 
 
 def _ring_windows(start: int, stop: int) -> np.ndarray:

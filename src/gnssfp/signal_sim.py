@@ -38,8 +38,8 @@ synthesized or filtered from the takeover on.
 Streams carry samples only. A scenario's ground truth follows from its
 attack alone: label_runs gives it as (start, stop, code) sample runs,
 genuine before the takeover and then spoofed, or mixed under a seamless
-attack below the genuine power. label_intervals turns a per-sample label
-array, as read back from a labels file, into time spans.
+attack below the genuine power. label_intervals turns such runs, as
+read back from a labels file, into time spans.
 """
 
 from __future__ import annotations
@@ -180,12 +180,10 @@ def label_runs(attack: AttackConfig | None, sample_rate: float, n: int) -> list:
     return [run for run in runs if run[0] < run[1]]
 
 
-def label_intervals(labels, sample_rate: float, t0: float = 0.0) -> list:
-    """Run-length encode per-sample label codes into (t_start, t_end, name) spans."""
-    labels = np.asarray(labels)
-    edges = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(labels)]
-    return [(t0 + a / sample_rate, t0 + b / sample_rate, LABEL_NAMES[int(labels[a])])
-            for a, b in zip(edges, edges[1:]) if a < b]
+def label_intervals(runs, sample_rate: float, t0: float = 0.0) -> list:
+    """(start, stop, code) runs of sample indices as (t_start, t_end, name) spans."""
+    return [(t0 + a / sample_rate, t0 + b / sample_rate, LABEL_NAMES[code])
+            for a, b, code in runs]
 
 
 def synthesize_nav_bits(prn: int, nav_seed: int, duration: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import tracemalloc
@@ -90,6 +91,40 @@ class TestIqRoundTrip:
         with pytest.raises(cio.FormatError, match="byte offset 4"):
             cio.read_iq(path, meta)
 
+    @pytest.mark.parametrize("fmt, pairs", [("int8", 9), ("int16", 4), ("float32", 2)])
+    def test_capture_length_counts_whole_pairs(self, tmp_path, fmt, pairs):
+        path = tmp_path / "c.iq"
+        path.write_bytes(bytes(18))
+        meta = cio.CaptureMeta(sample_rate=1e6, sample_format=fmt)
+        if 18 % (2 * np.dtype(fmt).itemsize):
+            with pytest.raises(cio.FormatError, match="byte offset 16"):
+                cio.capture_length(path, meta)
+        else:
+            assert cio.capture_length(path, meta) == pairs
+
+    @pytest.mark.parametrize("window, message", [
+        ({"offset_samples": -5}, "offset_samples must be >= 0, got -5"),
+        ({"count": -3}, "count must be >= 0, got -3"),
+        ({"offset_samples": 11}, "offset 11 beyond capture of 10 samples")])
+    def test_read_iq_rejects_a_window_outside_the_capture(self, tmp_path, window, message):
+        meta = cio.CaptureMeta(sample_rate=1e6, sample_format="int16")
+        cio.write_iq(IqStream(np.zeros(10, np.complex64), 1e6), tmp_path / "c.iq", meta)
+        with pytest.raises(ValueError, match=message):
+            cio.read_iq(tmp_path / "c.iq", meta, **window)
+
+    @pytest.mark.parametrize("block", [1, 7, 100, 1 << 16])
+    def test_iq_blocks_join_into_the_whole_read(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(cio, "BLOCK_SAMPLES", block)
+        rng = np.random.default_rng(12)
+        meta = cio.CaptureMeta(sample_rate=1e6, sample_format="int16", t0=3.5)
+        cio.write_iq(IqStream(representable_samples(rng, 100, "int16"), 1e6),
+                     tmp_path / "c.iq", meta)
+        whole = cio.read_iq(tmp_path / "c.iq")
+        blocks = list(cio.iq_blocks(tmp_path / "c.iq", meta))
+        assert [len(b.samples) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert np.concatenate([b.samples for b in blocks]).tobytes() == whole.samples.tobytes()
+        assert [b.t0 for b in blocks] == [3.5 + i * block / 1e6 for i in range(len(blocks))]
+
     def test_decimation_length_and_rate(self, tmp_path):
         rng = np.random.default_rng(7)
         n = 1000
@@ -171,7 +206,7 @@ class TestIqRoundTrip:
             for part in (slice(0, 6), slice(6, 10)):  # two blocks
                 writer.write(IqStream(samples[part], 1e6))
         assert (tmp_path / "labels.npy").read_bytes() == npy_bytes(expected)
-        assert np.array_equal(cio.load_labels(tmp_path / "labels.npy", 10), expected)
+        assert cio.load_label_runs(tmp_path / "labels.npy", 10) == runs
         assert sorted(os.listdir(tmp_path)) == ["c.iq", "c.iq.meta.json", "labels.npy"]
 
     def test_sample_count_other_than_the_runs_leaves_no_files(self, tmp_path):
@@ -191,7 +226,7 @@ class TestIqRoundTrip:
         path = tmp_path / "labels.npy"
         np.save(path, labels)
         with pytest.raises(ValueError, match=message) as exc:
-            cio.load_labels(path, 12)
+            cio.load_label_runs(path, 12)
         assert str(path) in str(exc.value)
 
     def test_load_labels_rejects_other_files(self, tmp_path):
@@ -200,8 +235,41 @@ class TestIqRoundTrip:
         np.save(tmp_path / "objects.npy", np.array([None] * 12, dtype=object), allow_pickle=True)
         for name in ("labels.npz", "text.npy", "objects.npy"):
             with pytest.raises(ValueError, match="not a labels .npy array") as exc:
-                cio.load_labels(tmp_path / name, 12)
+                cio.load_label_runs(tmp_path / name, 12)
             assert name in str(exc.value)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64, 1 << 16])
+    def test_label_runs_match_a_whole_array_encoding(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cio, "_CHUNK", chunk)
+        rng = np.random.default_rng(5)
+        labels = np.repeat(rng.integers(0, 3, 40), rng.integers(1, 30, 40)).astype(np.uint8)
+        np.save(tmp_path / "labels.npy", labels)
+        expected, start = [], 0
+        for code, run in itertools.groupby(labels.tolist()):
+            n = len(list(run))
+            expected.append((start, start + n, code))
+            start += n
+        assert cio.load_label_runs(tmp_path / "labels.npy", len(labels)) == expected
+
+    def test_unknown_codes_are_listed_from_every_chunk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cio, "_CHUNK", 4)
+        np.save(tmp_path / "labels.npy", np.array([0, 9, 0, 0, 1, 1, 2, 0, 0, 4, 9, 0],
+                                                  np.uint8))
+        with pytest.raises(ValueError, match=r"unknown label codes \[4, 9\]"):
+            cio.load_label_runs(tmp_path / "labels.npy", 12)
+
+    def test_label_file_cut_short_is_rejected(self, tmp_path):
+        path = tmp_path / "labels.npy"
+        path.write_bytes(npy_bytes(np.zeros(12, np.uint8))[:-5])
+        with pytest.raises(ValueError, match="not a labels .npy array: the file ends "
+                                             "after 7 of 12 entries"):
+            cio.load_label_runs(path, 12)
+
+    def test_label_file_in_npy_format_2(self, tmp_path):
+        path = tmp_path / "labels.npy"
+        with open(path, "wb") as f:
+            np.lib.format.write_array(f, np.array([1, 1, 0], np.uint8), version=(2, 0))
+        assert cio.load_label_runs(path, 3) == [(0, 2, 1), (2, 3, 0)]
 
     def test_read_iq_holds_only_the_samples(self, tmp_path):
         n = 2_000_000

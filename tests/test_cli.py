@@ -11,6 +11,7 @@ from gnssfp import capture_io as cio
 from gnssfp import signal_sim as ss
 from gnssfp.cli import (EXIT_ALARM, EXIT_DATA, EXIT_OK, EXIT_USAGE, ScenarioError,
                         build_parser, build_stream, load_scenario, main)
+from gnssfp.receiver_core import EPOCH_DTYPE
 from helpers import stream_oracle
 
 SCENARIO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -52,6 +53,13 @@ def shortened_scenario(tmp_path, name, duration):
     if doc.get("attack"):
         doc["attack"]["takeover_time"] = doc["attack"].get("takeover_time", 0.0) * scale
     return write_scenario(tmp_path / f"{name}.json", doc)
+
+
+def _save_cut_short(path, array):
+    """Save `array` as .npy without its last byte."""
+    np.save(path, array)
+    with open(path, "r+b") as f:
+        f.truncate(os.path.getsize(path) - 1)
 
 
 @pytest.fixture(scope="module")
@@ -154,8 +162,8 @@ class TestSimulate:
         capture = cio.read_iq(out / "capture.iq")
         assert capture.samples.tobytes() == stream.samples.tobytes()
         assert explicit.samples.tobytes() == stream.samples.tobytes()
-        labels = cio.load_labels(out / "labels.npy", len(stream.samples))
-        assert ss.label_intervals(labels, cfg["sample_rate"]) == [(0.0, 0.1, "genuine"),
+        runs = cio.load_label_runs(out / "labels.npy", len(stream.samples))
+        assert ss.label_intervals(runs, cfg["sample_rate"]) == [(0.0, 0.1, "genuine"),
                                                                   (0.1, 0.3, "spoofed")]
         assert cio.load_manifest(out / "manifest.json").multipath == "yes"
 
@@ -214,6 +222,38 @@ class TestSimulate:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+
+    def test_track_and_detect_memory_is_bounded_by_the_block(self, tmp_path):
+        peaks = {"track": [], "detect": []}
+        for duration in (1.0, 4.0):
+            scen = shortened_scenario(tmp_path, "replay_train_spoofed", duration)
+            out = tmp_path / str(duration)
+            assert main(["simulate", "--scenario", scen, "--out", str(out)]) == EXIT_OK
+            capture = str(out / "capture.iq")
+            track = ["track", "--capture", capture, "--prn", "13", "--out", str(out)]
+            if duration == 1.0:  # a genuine-only profile from the short capture
+                assert main(track) == EXIT_OK
+                assert main(["extract", "--epochs", str(out / "epochs_prn13.csv"),
+                             "--out", str(tmp_path / "features.csv")]) == EXIT_OK
+                assert main(["train", "--genuine", str(tmp_path / "features.csv"),
+                             "--out", str(tmp_path / "profile.json")]) == EXIT_OK
+            detect = ["detect", "--capture", capture, "--prn", "13",
+                      "--profile", str(tmp_path / "profile.json"),
+                      "--labels", str(out / "labels.npy"), "--out", str(out / "detect")]
+            for step, argv, codes in (("track", track, (EXIT_OK,)),
+                                      ("detect", detect, (EXIT_OK, EXIT_ALARM))):
+                tracemalloc.start()
+                try:
+                    assert main(argv) in codes
+                    peaks[step].append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        # The tracker's output, one record per 1 ms epoch, is all that may grow
+        # with the capture: 3,000 records more are about 9.5% of the 1 s peak
+        # (2.7 MiB), where the decoded 4 s stream alone would be 62.5 MiB.
+        records = 3000 * EPOCH_DTYPE.itemsize
+        for step, (short, long) in peaks.items():
+            assert abs(long - short) <= 0.1 * short + records, (step, peaks)
 
     def test_same_seed_same_bytes(self, tmp_path):
         scen = write_scenario(tmp_path / "s.json", tiny_scenario(duration=1.0))
@@ -285,6 +325,29 @@ class TestTrainEvalDetect:
               "--out", str(profile)])
         bad = tmp_path / "labels.npy"
         np.save(bad, labels(8192000))
+        out = tmp_path / "det"
+        assert main(["detect", "--capture", str(paths["spoofed"] / "capture.iq"),
+                     "--profile", str(profile), "--prn", "7", "--labels", str(bad),
+                     "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err and str(bad) in err
+        assert not (out / "decisions.csv").exists()
+
+    @pytest.mark.parametrize("write, message", [
+        (lambda path: np.save(path, np.zeros((2, 4096000), np.uint8)),
+         r"got uint8 of shape (2, 4096000)"),
+        (lambda path: path.write_text("0 1 2\n"), "not a labels .npy array"),
+        (lambda path: _save_cut_short(path, np.zeros(8192000, np.uint8)),
+         "the file ends after 8191999 of 8192000 entries")],
+        ids=["two_dimensional", "text", "cut_short"])
+    def test_labels_checked_without_decoding_the_capture(self, pipeline_dir, tmp_path, capsys,
+                                                        write, message):
+        _, paths = pipeline_dir
+        profile = tmp_path / "profile.json"
+        main(["train", "--genuine", str(paths["genuine"] / "features.csv"),
+              "--out", str(profile)])
+        bad = tmp_path / "labels.npy"
+        write(bad)
         out = tmp_path / "det"
         assert main(["detect", "--capture", str(paths["spoofed"] / "capture.iq"),
                      "--profile", str(profile), "--prn", "7", "--labels", str(bad),

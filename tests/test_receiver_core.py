@@ -159,6 +159,12 @@ def _scenario_stream(name, duration):
     return cfg, build_stream(cfg)
 
 
+def _blocks(iq, size):
+    """A stream as consecutive blocks of `size` samples, each with its own t0."""
+    return (ss.IqStream(iq.samples[i:i + size], iq.sample_rate, iq.t0 + i / iq.sample_rate)
+            for i in range(0, len(iq.samples), size))
+
+
 @pytest.fixture(scope="module")
 def oracle_streams():
     """Streams of the oracle cases: case -> (stream, PRNs)."""
@@ -209,6 +215,56 @@ class TestPerEpochOracle:
         assert track.status == status
         assert len(epochs) == round(0.2 / integration_time)
         assert track.epochs.tobytes() == epochs.tobytes()
+
+    @pytest.mark.parametrize("size", [2047, 6149, ss.BLOCK_SAMPLES])
+    @pytest.mark.parametrize("case", ["tracking_noiseless", "takeover_attack", "noise_only"])
+    def test_track_channel_in_blocks(self, oracle_channels, case, size):
+        # 2,047 and 6,149 samples put epoch edges mid-block, and a 2,047-sample
+        # block can end no epoch at all; noise_only loses lock
+        for iq, init, status, epochs in oracle_channels[case]:
+            whole = rc.track_channel(iq, init)
+            track = rc.track_channel(_blocks(iq, size), init)
+            assert track.status == whole.status == status
+            assert track.epochs.tobytes() == whole.epochs.tobytes() == epochs.tobytes()
+
+    @pytest.mark.parametrize("integration_time", [1e-3, 5e-3])
+    def test_track_channel_in_blocks_from_nonzero_t0(self, oracle_channels, integration_time):
+        iq, init, _, _ = oracle_channels["takeover_attack"][1]
+        shifted = ss.IqStream(iq.samples, iq.sample_rate, t0=1234.5678)
+        cfg = rc.TrackingConfig(integration_time=integration_time)
+        status, epochs = track_channel_oracle(shifted, init, cfg)
+        track = rc.track_channel(_blocks(shifted, 2047), init, cfg)
+        assert track.status == status
+        assert track.epochs.tobytes() == epochs.tobytes()
+        assert track.epochs.t[0] == 1234.5678
+
+    def test_track_channel_reads_blocks_only_until_loss_of_lock(self, oracle_channels):
+        ((iq, init, status, epochs),) = oracle_channels["noise_only"]
+        read = []
+        blocks = (read.append(block) or block for block in _blocks(iq, 6149))
+        track = rc.track_channel(blocks, init)
+        assert track.status == status == rc.STATUS_LOSS_OF_LOCK
+        assert track.epochs.tobytes() == epochs.tobytes()
+        # lock is lost at epoch 68 and seen when the estimates of epochs 19..82
+        # are filled, in the block that holds the last sample of epoch 82
+        assert len(read) == -(-83 * 2048 // 6149) < len(iq.samples) // 6149
+
+    def test_track_channel_takes_no_blocks_and_rejects_mixed_rates(self, oracle_channels):
+        iq, init, _, _ = oracle_channels["takeover_attack"][0]
+        empty = rc.track_channel([], init)
+        assert empty.status == rc.STATUS_COMPLETED and len(empty.epochs) == 0
+        blocks = [ss.IqStream(iq.samples[:4096], iq.sample_rate),
+                  ss.IqStream(iq.samples[4096:8192], 2 * iq.sample_rate)]
+        with pytest.raises(ValueError, match="share a sample rate"):
+            rc.track_channel(blocks, init)
+
+    def test_acquire_on_the_head_equals_acquire_on_the_whole(self, oracle_streams):
+        iq, prns = oracle_streams["takeover_attack"]
+        n = rc.acquisition_samples(iq.sample_rate)
+        assert n == 17 * 2048 < len(iq.samples)
+        head = ss.IqStream(iq.samples[:n], iq.sample_rate, iq.t0)
+        for prn in prns + [5]:  # 5 is not in the sky
+            assert rc.acquire(head, prn) == rc.acquire(iq, prn)
 
     def test_oracle_cases_cover_lock_and_loss_of_lock(self, oracle_channels):
         statuses = {case: [(status, len(epochs)) for _, _, status, epochs in channels]

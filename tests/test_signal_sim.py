@@ -303,15 +303,14 @@ class TestStreamBlocks:
 
 class TestLabelIntervals:
     def test_round_trip(self):
-        labels = np.array([0] * 40 + [1] * 60, dtype=np.uint8)
-        ivs = ss.label_intervals(labels, 100.0)
+        ivs = ss.label_intervals([(0, 40, 0), (40, 100, 1)], 100.0)
         assert ivs == [(0.0, 0.4, "genuine"), (0.4, 1.0, "spoofed")]
 
     def test_start_time_and_every_code(self):
-        labels = np.array([2, 2, 0, 1, 1, 1, 2], dtype=np.uint8)
-        assert ss.label_intervals(labels, 10.0, t0=5.0) == [
+        runs = [(0, 2, 2), (2, 3, 0), (3, 6, 1), (6, 7, 2)]
+        assert ss.label_intervals(runs, 10.0, t0=5.0) == [
             (5.0, 5.2, "mixed"), (5.2, 5.3, "genuine"), (5.3, 5.6, "spoofed"),
             (5.6, 5.7, "mixed")]
 
     def test_empty(self):
-        assert ss.label_intervals(np.empty(0, np.uint8), 100.0) == []
+        assert ss.label_intervals([], 100.0) == []

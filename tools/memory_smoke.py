@@ -6,10 +6,10 @@ Simulates the shipped 30 s replay_train_spoofed scenario (a 492 MB
 float32 capture), tracks PRN 13 of the capture and runs `detect --labels`
 on it with a genuine-only profile trained on the capture's own features,
 each in a child process, and reads each child's own peak RSS (`ru_maxrss`
-from `wait4`). Exits 1 if simulate peaks above SIMULATE_BOUND_MIB, or
-track or detect above TRACK_BOUND times the capture's complex64 size:
-simulate must hold one block of the stream at a time, track and detect one
-decoded stream (detect also reads the labels file).
+from `wait4`). Exits 1 if any of the three peaks above BOUND_MIB, about
+half of the capture decoded as complex64 (469 MiB): simulate must hold one
+block of the stream at a time, and track and detect one block of the
+capture (detect also reads the labels file chunk by chunk).
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MIB = float(1 << 20)
 SCENARIO = os.path.join(ROOT, "scenarios", "replay_train_spoofed.json")
 PRN = 13
-SIMULATE_BOUND_MIB = 256.0
-TRACK_BOUND = 1.5  # times the capture's complex64 bytes
+BOUND_MIB = 256.0  # peak RSS of each of simulate, track and detect
 
 
 def peak_rss_mib(argv: list, exit_codes=(0,)) -> float:
@@ -70,14 +69,12 @@ def main() -> int:
                                os.path.join(work, "labels.npy"),
                                "--out", os.path.join(work, "detect")], exit_codes=(0, 3))
 
-    checks = [("simulate", simulate, SIMULATE_BOUND_MIB),
-              ("track", track, TRACK_BOUND * stream_mib),
-              ("detect", detect, TRACK_BOUND * stream_mib)]
-    for step, peak, bound in checks:
-        print(f"{step}: peak RSS {peak:.1f} MiB, bound {bound:.1f} MiB "
+    checks = [("simulate", simulate), ("track", track), ("detect", detect)]
+    for step, peak in checks:
+        print(f"{step}: peak RSS {peak:.1f} MiB, bound {BOUND_MIB:.1f} MiB "
               f"(capture {stream_mib:.1f} MiB as complex64) -> "
-              f"{'ok' if peak <= bound else 'FAIL'}")
-    return 0 if all(peak <= bound for _, peak, bound in checks) else 1
+              f"{'ok' if peak <= BOUND_MIB else 'FAIL'}")
+    return 0 if all(peak <= BOUND_MIB for _, peak in checks) else 1
 
 
 if __name__ == "__main__":
