@@ -219,17 +219,25 @@ def read_iq(path, meta: CaptureMeta | None = None, decimate: int = 1,
     # values and their scaling by a power of two are exact in float32.
     samples = np.empty(-(-n_read // decimate), dtype=np.complex64)
     with open(str(path), "rb") as f:
-        for j0 in range(0, len(samples), _CHUNK):
-            part = samples[j0:j0 + _CHUNK]
-            f.seek((offset_samples + j0 * decimate) * 2 * width)
-            raw = np.fromfile(f, dtype=meta.dtype, count=2 * ((len(part) - 1) * decimate + 1))
-            i_part, q_part = raw[0::2 * decimate], raw[1::2 * decimate]
-            if meta.iq_swap:
-                i_part, q_part = q_part, i_part
-            part.real = i_part
-            part.imag = q_part
-            if meta.sample_format != "float32":
-                part /= np.float32(1 << (8 * width - 1))
+        if meta.dtype == np.float32 and decimate == 1 and not meta.iq_swap:
+            # Native float32 I,Q pairs are complex64 bytes as they stand.
+            f.seek(offset_samples * 2 * width)
+            if f.readinto(samples.view(np.uint8)) != samples.nbytes:
+                raise FormatError(f"{path}: payload ended before sample "
+                                  f"{offset_samples + n_read}")
+        else:
+            for j0 in range(0, len(samples), _CHUNK):
+                part = samples[j0:j0 + _CHUNK]
+                f.seek((offset_samples + j0 * decimate) * 2 * width)
+                raw = np.fromfile(f, dtype=meta.dtype,
+                                  count=2 * ((len(part) - 1) * decimate + 1))
+                i_part, q_part = raw[0::2 * decimate], raw[1::2 * decimate]
+                if meta.iq_swap:
+                    i_part, q_part = q_part, i_part
+                part.real = i_part
+                part.imag = q_part
+                if meta.sample_format != "float32":
+                    part /= np.float32(1 << (8 * width - 1))
     return IqStream(samples, meta.sample_rate / decimate,
                     t0=meta.t0 + offset_samples / meta.sample_rate)
 

@@ -178,6 +178,13 @@ class TestIqRoundTrip:
             out = cio.read_iq(path, meta, decimate=decimate, offset_samples=offset, count=count)
             assert out.samples.tobytes() == expected.tobytes(), (offset, decimate, count)
 
+    def test_payload_that_ends_early_is_a_format_error(self, tmp_path, monkeypatch):
+        meta = cio.CaptureMeta(sample_rate=1e6, sample_format="float32")
+        cio.write_iq(IqStream(np.zeros(10, np.complex64), 1e6), tmp_path / "c.iq", meta)
+        monkeypatch.setattr(cio, "capture_length", lambda path, meta: 12)  # the file shrank
+        with pytest.raises(cio.FormatError, match="payload ended before sample 12"):
+            cio.read_iq(tmp_path / "c.iq", meta, offset_samples=2)
+
     def test_append_names_the_index_in_the_file(self, tmp_path):
         meta = cio.CaptureMeta(sample_rate=1e6, sample_format="int16")
         path = tmp_path / "app.iq"
