@@ -32,8 +32,9 @@ MANIFEST_FORMAT = "gnssfp-manifest"
 MANIFEST_VERSION = 1
 
 _SAMPLE_DTYPES = {"int8": np.int8, "int16": np.int16, "float32": np.float32}
-_CHUNK = 1 << 16  # samples read_iq decodes, and labels CaptureWriter writes or
-# load_label_runs reads, at a time
+# Samples read_iq decodes, and labels CaptureWriter writes or load_label_runs
+# reads, at a time.
+_CHUNK = 1 << 16
 
 
 class FormatError(ValueError):
@@ -278,8 +279,9 @@ def load_label_runs(path, n_samples: int) -> list:
         top = max(LABEL_NAMES)  # the codes are 0..top
         runs, unknown = [], set()
         for i0 in range(0, n_samples, _CHUNK):
-            chunk = np.fromfile(f, dtype=np.uint8, count=min(_CHUNK, n_samples - i0))
-            if len(chunk) < min(_CHUNK, n_samples - i0):
+            want = min(_CHUNK, n_samples - i0)
+            chunk = np.fromfile(f, dtype=np.uint8, count=want)
+            if len(chunk) < want:
                 raise ValueError(f"{path}: not a labels .npy array: the file ends after "
                                  f"{i0 + len(chunk)} of {n_samples} entries")
             unknown.update(np.unique(chunk[chunk > top]).tolist())
