@@ -227,22 +227,82 @@ def cmd_simulate(args) -> int:
 
 
 def _track_prns(capture: str, meta: CaptureMeta, args, trk_cfg: TrackingConfig) -> list:
-    """Acquire and track each requested PRN of a capture, one after another.
+    """Acquire and track each requested PRN of a capture, `args.jobs` processes at most.
 
     Every PRN is acquired on the one head of the capture that `acquire`
     reads and tracked from its own pass of block reads, so memory holds a
-    block of the capture, never the whole of it. Returns (prn, TrackResult
-    or None when not acquired, AcquisitionResult) in ascending PRN order.
+    block of the capture, never the whole of it. The sorted PRNs are dealt
+    round-robin into one share per process, capped by the PRNs and the
+    usable CPUs: this process tracks the first share and a forked worker
+    each other one, sending back its results. Returns (prn, TrackResult or
+    None when not acquired, AcquisitionResult) in ascending PRN order.
     """
     head = capture_io.read_iq(capture, meta, count=acquisition_samples(meta.sample_rate))
+    prns = sorted(set(args.prn))
+    n = min(args.jobs, len(prns), len(os.sched_getaffinity(0)))
+    shares = [prns[i::n] for i in range(n)]
+    workers = []
+    try:
+        if n > 1:
+            import multiprocessing
+            ctx = multiprocessing.get_context("fork")
+            for share in shares[1:]:
+                receiver, sender = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_share_worker, daemon=True,
+                                   args=(sender, capture, meta, head, share, args, trk_cfg))
+                proc.start()
+                sender.close()  # so a worker that dies leaves the receiver at EOF
+                workers.append((proc, receiver, share))
+        results = _track_share(capture, meta, head, shares[0], args, trk_cfg)
+        for proc, receiver, share in workers:
+            results += _share_results(proc, receiver, share)
+    except BaseException:
+        for proc, _, _ in workers:
+            proc.terminate()  # its results would go unread
+        raise
+    finally:
+        for proc, receiver, _ in workers:
+            proc.join()
+            receiver.close()
+    return sorted(results, key=lambda result: result[0])
+
+
+def _track_share(capture: str, meta: CaptureMeta, head: IqStream, prns: list, args,
+                 trk_cfg: TrackingConfig) -> list:
+    """Acquire each PRN of one share on the head and track it from the capture."""
     results = []
-    for prn in sorted(set(args.prn)):
+    for prn in prns:
         acq = acquire(head, prn, doppler_range=args.doppler_range,
                       doppler_bin=args.doppler_bin)
         track = (track_channel(capture_io.iq_blocks(capture, meta), acq, trk_cfg)
                  if acq.acquired else None)
         results.append((prn, track, acq))
     return results
+
+
+def _share_worker(sender, *track_args) -> None:
+    """Body of a forked worker: `_track_share(*track_args)`, whose results,
+    or the exception that stopped it, go back through `sender`."""
+    try:
+        reply = (True, _track_share(*track_args))
+    except Exception as exc:
+        reply = (False, exc)
+    sender.send(reply)
+    sender.close()
+
+
+def _share_results(proc, receiver, share: list) -> list:
+    """The results a worker sent back; re-raises the worker's exception."""
+    try:
+        ok, payload = receiver.recv()
+    except EOFError:
+        proc.join()
+        raise ChildProcessError(
+            f"the worker tracking PRNs {', '.join(map(str, share))} exited with code "
+            f"{proc.exitcode} before sending its results") from None
+    if not ok:
+        raise payload
+    return payload
 
 
 def _channel_record(prn: int, track, acq) -> dict:
@@ -446,8 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     acquisition.add_argument("--doppler-bin", type=float, default=250.0)
     acquisition.add_argument(
         "--jobs", type=_positive_int, default=4,
-        help="accepted for compatibility and currently unused: channels are "
-             "tracked one after another")
+        help="processes that track the PRNs, capped by the number of PRNs and "
+             "the usable CPUs; 1 tracks them all in this process")
     window = argparse.ArgumentParser(add_help=False)
     window.add_argument("--window-len", type=int, default=40)
     window.add_argument("--min-pos", type=int, default=3)

@@ -20,7 +20,6 @@ cos(2*dphi) (>= gamma_carrier, default 0.5).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,11 +217,11 @@ def track_channel(blocks, init: AcquisitionResult,
         raise ValueError(f"initial code phase must be in [0, {CODE_LENGTH}) chips, "
                          f"got {init.code_phase}")
     blocks = iter((blocks,) if isinstance(blocks, IqStream) else blocks)
-    first = next(blocks, None)
-    if first is None:
+    block = next(blocks, None)
+    if block is None:
         return TrackResult(prn=init.prn, status=STATUS_COMPLETED,
                            epochs=np.zeros(0, dtype=EPOCH_DTYPE).view(np.recarray))
-    fs, t0 = first.sample_rate, first.t0
+    fs, t0 = block.sample_rate, block.t0
     n_epoch = int(round(fs * cfg.integration_time))
 
     # The initial code phase, one epoch of code and a spare period, so the
@@ -251,7 +250,7 @@ def track_channel(blocks, init: AcquisitionResult,
     lock_from = _LOCK_WINDOW - 1  # first epoch without lock estimates yet
     lost_at = None  # the epoch at which the C/N0 test ends the channel
 
-    for block in itertools.chain((first,), blocks):
+    while block is not None:
         if block.sample_rate != fs:
             raise ValueError(f"blocks of one stream must share a sample rate: "
                              f"{block.sample_rate} after {fs}")
@@ -265,33 +264,8 @@ def track_channel(blocks, init: AcquisitionResult,
             epochs.resize(max(n_epochs, 2 * len(epochs)), refcheck=False)
 
         for k in range(k0, n_epochs):
-            blk = samples[(k - k0) * n_epoch:(k - k0 + 1) * n_epoch]
-            re = blk.real.astype(np.float64)
-            im = blk.imag.astype(np.float64)
-
-            # base is >= 0 and stays below code_phase < 1023 plus one epoch of
-            # code (about 2,047 chips at 1 ms). For x >= 0, floor(fmod(x, 1023))
-            # equals floor(x) mod 1023 exactly, since fmod is exact, so indexing
-            # the periodic table at floor(x) picks the chip np.mod picked. The
-            # late index is -1 for base - half in [-half, 0) and wraps to chip
-            # 1022, where np.mod could round up to 1023.0 and overrun.
-            base = code_phase + (code_freq / fs) * i_arr
-            idx_p = base.astype(np.int64)
-            idx_e = (base + half).astype(np.int64)
-            idx_l = np.floor(base - half).astype(np.int64)
-
-            # carrier wipe x = blk * exp(-j theta), kept in split real arithmetic
-            theta = (2.0 * np.pi * carr_freq / fs) * i_arr + carr_phase
-            c, s = np.cos(theta), np.sin(theta)
-            xr = re * c
-            xr += im * s
-            xi = im * c
-            xi -= re * s
-
-            ce, cp, cl = chips[idx_e], chips[idx_p], chips[idx_l]
-            e = complex(xr @ ce, xi @ ce)
-            p = complex(xr @ cp, xi @ cp)
-            l = complex(xr @ cl, xi @ cl)
+            e, p, l = _correlate(samples[(k - k0) * n_epoch:(k - k0 + 1) * n_epoch], chips,
+                                 i_arr, half, code_phase, code_freq, carr_phase, carr_freq, fs)
 
             epochs[k] = (t0 + k * T, e, p, l, 0.0, 0.0, code_phase, carr_freq)
 
@@ -324,12 +298,51 @@ def track_channel(blocks, init: AcquisitionResult,
                 lock_from = k + 1
         if lost_at is not None:
             break
+        # Let go of this block before the next one is decoded, so one block
+        # of the stream is held at a time.
+        block = samples = None
+        block = next(blocks, None)
     else:
         _, lost_at = _fill_lock_estimates(epochs, lock_from, n_epochs, cfg, code_fail_run)
 
     status = STATUS_COMPLETED if lost_at is None else STATUS_LOSS_OF_LOCK
     epochs.resize(n_epochs if lost_at is None else lost_at + 1, refcheck=False)
     return TrackResult(prn=init.prn, status=status, epochs=epochs.view(np.recarray))
+
+
+def _correlate(blk: np.ndarray, chips: np.ndarray, i_arr: np.ndarray, half: float,
+               code_phase: float, code_freq: float, carr_phase: float, carr_freq: float,
+               fs: float):
+    """Early, prompt and late correlations of one epoch of samples.
+
+    The carrier is wiped off from carr_phase at carr_freq and the replicas
+    start at code_phase. The temporaries die on return, so none outlives
+    the epoch.
+    """
+    re = blk.real.astype(np.float64)
+    im = blk.imag.astype(np.float64)
+
+    # base is >= 0 and stays below code_phase < 1023 plus one epoch of
+    # code (about 2,047 chips at 1 ms). For x >= 0, floor(fmod(x, 1023))
+    # equals floor(x) mod 1023 exactly, since fmod is exact, so indexing
+    # the periodic table at floor(x) picks the chip np.mod picked. The
+    # late index is -1 for base - half in [-half, 0) and wraps to chip
+    # 1022, where np.mod could round up to 1023.0 and overrun.
+    base = code_phase + (code_freq / fs) * i_arr
+    idx_p = base.astype(np.int64)
+    idx_e = (base + half).astype(np.int64)
+    idx_l = np.floor(base - half).astype(np.int64)
+
+    # carrier wipe x = blk * exp(-j theta), kept in split real arithmetic
+    theta = (2.0 * np.pi * carr_freq / fs) * i_arr + carr_phase
+    c, s = np.cos(theta), np.sin(theta)
+    xr = re * c
+    xr += im * s
+    xi = im * c
+    xi -= re * s
+
+    ce, cp, cl = chips[idx_e], chips[idx_p], chips[idx_l]
+    return complex(xr @ ce, xi @ ce), complex(xr @ cp, xi @ cp), complex(xr @ cl, xi @ cl)
 
 
 def _fill_lock_estimates(epochs: np.ndarray, start: int, stop: int, cfg: TrackingConfig,

@@ -1,13 +1,17 @@
 import hashlib
 import io
 import json
+import multiprocessing
 import os
+import shutil
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from gnssfp import capture_io as cio
+from gnssfp import cli
 from gnssfp import signal_sim as ss
 from gnssfp.cli import (EXIT_ALARM, EXIT_DATA, EXIT_OK, EXIT_USAGE, ScenarioError,
                         build_parser, build_stream, load_scenario, main)
@@ -565,6 +569,155 @@ class TestTrainEvalDetect:
         cio.save_model(spoof_detector.DetectorProfile(model, -10.0), rng_profile)
         assert main(["detect", "--profile", str(rng_profile),
                      "--out", str(tmp_path)]) == EXIT_USAGE
+
+
+TAKEOVER_PRNS = ["3", "7", "11", "19"]
+
+
+@pytest.fixture(scope="module")
+def takeover_dir(tmp_path_factory, pipeline_dir):
+    """A 0.5 s cut of the shipped 4-PRN takeover_attack and a genuine-only profile."""
+    root = tmp_path_factory.mktemp("takeover")
+    scen = shortened_scenario(root, "takeover_attack", 0.5)
+    assert main(["simulate", "--scenario", scen, "--out", str(root)]) == EXIT_OK
+    _, paths = pipeline_dir
+    assert main(["train", "--genuine", str(paths["genuine"] / "features.csv"),
+                 "--out", str(root / "profile.json")]) == EXIT_OK
+    return root
+
+
+def _prn_args(prns):
+    return [arg for prn in prns for arg in ("--prn", prn)]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made, counted in the calling process."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def _in_worker(parent_pid, prn, real, failure):
+    """track_channel that fails with `failure()` for `prn`, in a worker only."""
+    def track_channel(blocks, init, cfg):
+        if init.prn == prn and os.getpid() != parent_pid:
+            failure()
+        return real(blocks, init, cfg)
+    return track_channel
+
+
+def _raise(exc):
+    def failure():
+        raise exc
+    return failure
+
+
+class TestParallelTracking:
+    @pytest.fixture(autouse=True)
+    def time_limit(self):
+        """A join that never returns fails the test instead of hanging the suite."""
+        def expire(signum, frame):
+            raise TimeoutError("tracking did not finish within 120 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(120)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def test_jobs_give_identical_outputs(self, takeover_dir, tmp_path, monkeypatch, capsys,
+                                         forks):
+        # PRN 5 is not in the scenario; sorted and dealt round-robin it falls
+        # in a worker's share for 2 and for 4 processes.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        capture = str(takeover_dir / "capture.iq")
+        prns = _prn_args(["19", "3", "5", "11", "7"])
+        outputs = {}
+        out = tmp_path / "out"  # one directory, as stdout names the files
+        for jobs in ("1", "2", "4"):
+            shutil.rmtree(out, ignore_errors=True)
+            del forks[:]
+            track = main(["track", "--capture", capture, *prns, "--jobs", jobs,
+                          "--out", str(out / "track")])
+            detect = main(["detect", "--capture", capture, *prns, "--jobs", jobs,
+                           "--profile", str(takeover_dir / "profile.json"),
+                           "--labels", str(takeover_dir / "labels.npy"),
+                           "--out", str(out / "detect")])
+            files = {path.relative_to(out).as_posix(): path.read_bytes()
+                     for path in sorted(out.rglob("*")) if path.is_file()}
+            outputs[jobs] = (track, detect, files, capsys.readouterr(), len(forks))
+        assert sorted(outputs["1"][2]) == [
+            "detect/decisions.csv", "detect/run_record_detect.json",
+            "detect/timing_report.json", "track/epochs_prn03.csv", "track/epochs_prn07.csv",
+            "track/epochs_prn11.csv", "track/epochs_prn19.csv",
+            "track/run_record_track.json"]
+        assert outputs["1"][0] == EXIT_OK
+        assert "PRN  5: not acquired" in outputs["1"][3].err
+        assert [forks for *_, forks in outputs.values()] == [0, 2, 6]
+        for jobs in ("2", "4"):
+            assert outputs[jobs][:4] == outputs["1"][:4], jobs
+        assert multiprocessing.active_children() == []
+
+    def test_one_job_never_forks(self, takeover_dir, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        capture = str(takeover_dir / "capture.iq")
+        assert main(["track", "--capture", capture, *_prn_args(TAKEOVER_PRNS), "--jobs", "1",
+                     "--out", str(tmp_path / "one_job")]) == EXIT_OK
+        # --jobs is capped by the usable CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(["track", "--capture", capture, *_prn_args(TAKEOVER_PRNS),
+                     "--out", str(tmp_path / "one_cpu")]) == EXIT_OK
+        assert len(list((tmp_path / "one_cpu").glob("epochs_prn*.csv"))) == 4
+
+    def test_worker_error_is_a_data_error(self, takeover_dir, tmp_path, monkeypatch, capsys,
+                                          forks):
+        # two processes: PRNs 3 and 11 here, 7 and 19 in the worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "track_channel", _in_worker(
+            os.getpid(), 7, cli.track_channel, _raise(ValueError("PRN 7 block is bad"))))
+        code = main(["track", "--capture", str(takeover_dir / "capture.iq"),
+                     *_prn_args(TAKEOVER_PRNS), "--jobs", "2", "--out", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert "data error: PRN 7 block is bad" in capsys.readouterr().err
+        assert len(forks) == 1 and multiprocessing.active_children() == []
+        assert not list(tmp_path.glob("*"))
+
+    def test_failure_in_this_process_leaves_no_worker(self, takeover_dir, tmp_path,
+                                                      monkeypatch, capsys, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        real = cli.track_channel
+
+        def failing_here(blocks, init, cfg):
+            if init.prn == 3:
+                raise ValueError("PRN 3 failed here")
+            return real(blocks, init, cfg)
+
+        monkeypatch.setattr(cli, "track_channel", failing_here)
+        code = main(["detect", "--capture", str(takeover_dir / "capture.iq"),
+                     *_prn_args(TAKEOVER_PRNS), "--jobs", "2",
+                     "--profile", str(takeover_dir / "profile.json"), "--out", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert "data error: PRN 3 failed here" in capsys.readouterr().err
+        assert len(forks) == 1 and multiprocessing.active_children() == []
+
+    def test_dead_worker_is_named_by_its_prns(self, takeover_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "track_channel", _in_worker(
+            os.getpid(), 19, cli.track_channel, lambda: os._exit(9)))
+        with pytest.raises(ChildProcessError, match=r"PRNs 7, 19 exited with code 9"):
+            main(["track", "--capture", str(takeover_dir / "capture.iq"),
+                  *_prn_args(TAKEOVER_PRNS), "--jobs", "2", "--out", str(tmp_path)])
+        assert multiprocessing.active_children() == []
 
 
 # subcommand -> (required flags with a sample value, full parsed namespace)

@@ -6,10 +6,14 @@ Simulates the shipped 30 s replay_train_spoofed scenario (a 492 MB
 float32 capture), tracks PRN 13 of the capture and runs `detect --labels`
 on it with a genuine-only profile trained on the capture's own features,
 each in a child process, and reads each child's own peak RSS (`ru_maxrss`
-from `wait4`). Exits 1 if any of the three peaks above BOUND_MIB, about
-half of the capture decoded as complex64 (469 MiB): simulate must hold one
-block of the stream at a time, and track and detect one block of the
-capture (detect also reads the labels file chunk by chunk).
+from `wait4`). Then it simulates the shipped 12 s, 4-PRN takeover_attack
+scenario and tracks its four PRNs with `--jobs 2`, which forks one worker;
+the peak `wait4` reports for a child also covers the workers it forked and
+reaped (it is the largest of their peaks, not their sum). Exits 1 if any
+peak is above BOUND_MIB, about half of the replay capture decoded as
+complex64 (469 MiB): simulate must hold one block of the stream at a time,
+and track and detect one block of the capture per channel (detect also
+reads the labels file chunk by chunk).
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MIB = float(1 << 20)
 SCENARIO = os.path.join(ROOT, "scenarios", "replay_train_spoofed.json")
 PRN = 13
-BOUND_MIB = 256.0  # peak RSS of each of simulate, track and detect
+TAKEOVER = os.path.join(ROOT, "scenarios", "takeover_attack.json")
+TAKEOVER_PRNS = (3, 7, 11, 19)
+BOUND_MIB = 256.0  # peak RSS of each step checked
 
 
 def peak_rss_mib(argv: list, exit_codes=(0,)) -> float:
@@ -68,8 +74,14 @@ def main() -> int:
                                "--profile", profile, "--labels",
                                os.path.join(work, "labels.npy"),
                                "--out", os.path.join(work, "detect")], exit_codes=(0, 3))
+        takeover = os.path.join(work, "takeover")
+        peak_rss_mib(["simulate", "--scenario", TAKEOVER, "--out", takeover])
+        track_jobs = peak_rss_mib(["track", "--capture", os.path.join(takeover, "capture.iq"),
+                                   *[arg for prn in TAKEOVER_PRNS for arg in ("--prn", str(prn))],
+                                   "--jobs", "2", "--out", takeover])
 
-    checks = [("simulate", simulate), ("track", track), ("detect", detect)]
+    checks = [("simulate", simulate), ("track", track), ("detect", detect),
+              ("track 4 PRNs, --jobs 2", track_jobs)]
     for step, peak in checks:
         print(f"{step}: peak RSS {peak:.1f} MiB, bound {BOUND_MIB:.1f} MiB "
               f"(capture {stream_mib:.1f} MiB as complex64) -> "
