@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .prn_codes import CaCode, circular_correlate, generate_ca_code, sample_code
+from .prn_codes import CaCode, generate_ca_code, sample_code
 from .signal_sim import (AttackConfig, HardwareSignature, IqStream,
                          SatelliteScenario, apply_multipath, spoof_overlay,
                          stream_blocks, synthesize_genuine, synthesize_nav_bits)
@@ -13,5 +13,4 @@ from .fingerprint_features import (FEATURE_DTYPE, FeatureWindowConfig,
 from .mvn_model import MvnModel, density, fit, from_moments, log_density
 from .spoof_detector import (Decision, DetectorProfile, EvalReport,
                              SpoofTimingReport, detect_stream, eer_threshold,
-                             evaluate, kfold_xval, prn_sets,
-                             required_n_for_zero_eer, spoof_timing, train)
+                             evaluate, kfold_xval, prn_sets, spoof_timing, train)

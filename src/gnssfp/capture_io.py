@@ -24,7 +24,7 @@ from .fingerprint_features import FEATURE_DTYPE, FeatureWindowConfig
 from .mvn_model import from_moments
 from .receiver_core import EPOCH_DTYPE
 from .signal_sim import BLOCK_SAMPLES, LABEL_NAMES, IqStream
-from .spoof_detector import Decision, DetectorProfile
+from .spoof_detector import DetectorProfile
 
 MODEL_FORMAT = "gnssfp-profile"
 MODEL_VERSION = 1
@@ -319,36 +319,11 @@ class DatasetManifest:
             raise ValueError(f"role must be 'genuine' or 'spoofed', got {self.role!r}")
 
 
-_ATTACK_FIELDS = ("spoofing type", "threat model", "power status")
-_ATTACK_KEYS = ("spoofing_type", "threat_model", "power_status")
-
-
 def save_manifest(manifest: DatasetManifest, path) -> None:
     doc = {"format": MANIFEST_FORMAT, "version": MANIFEST_VERSION, **asdict(manifest)}
     with open(str(path), "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def load_manifest(path) -> DatasetManifest:
-    with open(str(path), encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("format") != MANIFEST_FORMAT:
-        raise ValueError(f"{path}: not a {MANIFEST_FORMAT} document")
-    if doc.get("version") != MANIFEST_VERSION:
-        raise UnsupportedVersionError(
-            f"{path}: manifest version {doc.get('version')} not supported")
-    doc.pop("format"), doc.pop("version")
-    try:
-        manifest = DatasetManifest(**doc)
-    except TypeError as exc:
-        raise ValueError(f"{path}: malformed manifest: {exc}") from exc
-    if manifest.role == "spoofed":
-        for key, name in zip(_ATTACK_KEYS, _ATTACK_FIELDS):
-            if not getattr(manifest, key):
-                raise ValueError(f"{path}: spoofed manifest missing required "
-                                 f"field '{name}'")
-    return manifest
 
 
 # --------------------------------------------------------------------------
@@ -488,13 +463,6 @@ def write_decisions_csv(decisions, path) -> None:
     _write_csv(path, DECISION_CSV_HEADER,
                ([_fmt(d.t_start), _fmt(d.t_end), d.prn, _fmt(d.log_score), d.decision,
                  d.label] for d in decisions))
-
-
-def read_decisions_csv(path) -> list:
-    return [Decision(t_start=float(row["t_start"]), t_end=float(row["t_end"]),
-                     prn=int(row["prn"]), log_score=float(row["score_log"]),
-                     decision=row["decision"], label=row["label"])
-            for row in _read_csv(path, DECISION_CSV_HEADER, "decision")]
 
 
 REPORT_CSV_HEADER = ["dataset", "n_avg", "fpr", "fnr", "eer", "threshold_log",

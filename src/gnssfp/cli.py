@@ -162,17 +162,6 @@ def _stream_blocks(cfg: dict):
                                     cfg["multipath"], cfg["attack"], targets)
 
 
-def build_stream(cfg: dict) -> IqStream:
-    """Synthesize a loaded scenario whole: the blocks of `simulate`, joined."""
-    n = signal_sim.sample_count(cfg["sample_rate"], cfg["duration"])
-    samples = np.empty(n, dtype=np.complex64)
-    i = 0
-    for block in _stream_blocks(cfg):
-        samples[i:i + len(block.samples)] = block.samples
-        i += len(block.samples)
-    return IqStream(samples, cfg["sample_rate"])
-
-
 def _write_run_record(out_dir: str, subcommand: str, config_bytes: bytes | None,
                       extra: dict) -> None:
     record = {

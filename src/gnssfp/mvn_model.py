@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 _REGULARIZATION_EPS = 1e-9  # covariance ridge, relative to the mean variance
 
@@ -105,6 +104,21 @@ def log_mean_of_scores(log_scores):
     n = log_scores.shape[-1]
     if n == 0:
         raise ValueError("need at least one score")
-    with np.errstate(divide="ignore"):  # log(0) of an all -inf block
-        out = logsumexp(log_scores, axis=-1) - np.log(n)
+    out = _logsumexp(log_scores) - np.log(n)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _logsumexp(a):
+    """log(sum(exp(a))) over the last axis, computed step for step as
+    scipy.special.logsumexp (1.17) computes it for real input, so the bits
+    agree: the tied maxima leave the sum and come back as log(count) + max,
+    and where that is not finite (an all -inf row) the direct
+    log(sum(exp(a))) is used."""
+    a_max = np.max(a, axis=-1, keepdims=True)
+    is_max = a == a_max
+    m = np.sum(is_max, axis=-1, keepdims=True, dtype=a.dtype)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=-1, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        direct = np.log(np.sum(np.exp(a), axis=-1, keepdims=True))
+    return np.where(np.isfinite(out), out, direct)[..., 0]

@@ -87,20 +87,6 @@ def generate_ca_code(prn: int) -> CaCode:
     return CaCode(prn=int(prn), chips=chips)
 
 
-def circular_correlate(a, b) -> np.ndarray:
-    """Circular correlation of two equal-length ±1 sequences.
-
-    out[k] = sum_i a[i] * b[(i + k) mod N]. Computed in the frequency
-    domain and rounded back to exact integers.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    corr = np.fft.ifft(np.conj(np.fft.fft(a)) * np.fft.fft(b)).real
-    return np.rint(corr).astype(np.int64)
-
-
 def sample_code(code: CaCode, sample_rate: float, chip_rate: float = CHIP_RATE,
                 code_phase: float = 0.0, length: int | None = None) -> np.ndarray:
     """Resample a C/A code onto a sample grid by nearest-chip (zero-order hold).

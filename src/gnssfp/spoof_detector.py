@@ -3,8 +3,8 @@
 Orientation used throughout (documented because papers rarely pin it down):
 "positive" means accepted-as-authentic. FPR is the fraction of spoofed
 sample points accepted; FNR is the fraction of genuine sample points
-rejected. EvalReport.swapped() exchanges the roles for comparison against
-write-ups that use the opposite convention.
+rejected. Write-ups that use the opposite convention (detected spoof as
+positive) exchange fpr with fnr, and the counts (tp, fp) with (tn, fn).
 
 All scores are log densities; a sample point is Authentic when the mean
 density of its n_avg-point group (log-sum-exp mean) is strictly greater
@@ -55,11 +55,6 @@ class EvalReport:
     threshold: float  # log-space
     n_avg: int
     counts: tuple  # (tp, fp, tn, fn) with positive = accepted-as-authentic
-
-    def swapped(self) -> "EvalReport":
-        """Report with the positive class flipped (detected-spoof positive)."""
-        tp, fp, tn, fn = self.counts
-        return replace(self, fpr=self.fnr, fnr=self.fpr, counts=(tn, fn, tp, fp))
 
 
 @dataclass(frozen=True)
@@ -355,24 +350,3 @@ def spoof_timing(decisions_by_prn: dict, label_intervals, sets) -> SpoofTimingRe
                              total_spoof_s=tuple(totals),
                              undetected_30s_locks=tuple(locks),
                              overall_continuous_spoof_s=overall)
-
-
-def required_n_for_zero_eer(genuine_scores, spoofed_scores, n_max: int):
-    """Smallest averaging depth n <= n_max with zero EER over disjoint blocks.
-
-    Returns None when no depth reaches zero (including when the score sets
-    run out of full blocks).
-    """
-    g = np.asarray(genuine_scores, dtype=np.float64)
-    s = np.asarray(spoofed_scores, dtype=np.float64)
-    if len(g) == 0 or len(s) == 0:
-        raise ValueError("both score lists must be non-empty")
-    for n in range(1, n_max + 1):
-        gb = block_log_scores(g, n)
-        sb = block_log_scores(s, n)
-        if len(gb) == 0 or len(sb) == 0:
-            return None
-        _, eer = eer_threshold(gb, sb)
-        if eer == 0.0:
-            return n
-    return None

@@ -2,20 +2,120 @@
 
 Everything here is deliberately independent of the production paths it
 checks: correlations are computed by explicit roll-and-dot sums, C/N0 by
-ground-truth despreading, timing by elementary segment scans.
+ground-truth despreading, timing by elementary segment scans. The first
+section holds what only the tests use and the package does not: a
+whole-stream builder, the manifest and decision-CSV readers, and a few
+small utilities.
 """
 
+import csv
+import json
 from dataclasses import replace
 
 import numpy as np
 from scipy.special import logsumexp
 
+from gnssfp import capture_io as cio
 from gnssfp import fingerprint_features as ff
 from gnssfp import receiver_core as rc
 from gnssfp import signal_sim as ss
-from gnssfp.cli import build_stream
+from gnssfp import spoof_detector as sd
+from gnssfp.cli import _stream_blocks
 from gnssfp.prn_codes import CHIP_RATE, generate_ca_code, sample_code
 from gnssfp.spoof_detector import DECISION_AUTHENTIC
+
+
+# -- readers and utilities only the tests use -----------------------------------
+
+def build_stream(cfg):
+    """Synthesize a loaded scenario whole: the blocks of `simulate`, joined."""
+    n = ss.sample_count(cfg["sample_rate"], cfg["duration"])
+    samples = np.empty(n, dtype=np.complex64)
+    i = 0
+    for block in _stream_blocks(cfg):
+        samples[i:i + len(block.samples)] = block.samples
+        i += len(block.samples)
+    return ss.IqStream(samples, cfg["sample_rate"])
+
+
+def circular_correlate(a, b):
+    """Circular correlation of two equal-length ±1 sequences.
+
+    out[k] = sum_i a[i] * b[(i + k) mod N]. Computed in the frequency
+    domain and rounded back to exact integers.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    corr = np.fft.ifft(np.conj(np.fft.fft(a)) * np.fft.fft(b)).real
+    return np.rint(corr).astype(np.int64)
+
+
+_MANIFEST_ATTACK_FIELDS = {"spoofing_type": "spoofing type", "threat_model": "threat model",
+                           "power_status": "power status"}
+
+
+def load_manifest(path):
+    """Read a dataset manifest written by `capture_io.save_manifest`; a
+    spoofed one must name its spoofing type, threat model and power status."""
+    with open(str(path), encoding="utf-8") as f:
+        doc = json.load(f)
+    if doc.get("format") != cio.MANIFEST_FORMAT:
+        raise ValueError(f"{path}: not a {cio.MANIFEST_FORMAT} document")
+    if doc.get("version") != cio.MANIFEST_VERSION:
+        raise cio.UnsupportedVersionError(
+            f"{path}: manifest version {doc.get('version')} not supported")
+    doc.pop("format"), doc.pop("version")
+    try:
+        manifest = cio.DatasetManifest(**doc)
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed manifest: {exc}") from exc
+    if manifest.role == "spoofed":
+        for key, name in _MANIFEST_ATTACK_FIELDS.items():
+            if not getattr(manifest, key):
+                raise ValueError(f"{path}: spoofed manifest missing required "
+                                 f"field '{name}'")
+    return manifest
+
+
+def read_decisions_csv(path):
+    """The `Decision` rows of a decision CSV, after checking its header."""
+    with open(str(path), newline="", encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        if reader.fieldnames != cio.DECISION_CSV_HEADER:
+            raise ValueError(f"{path}: unexpected decision CSV header {reader.fieldnames}")
+        return [sd.Decision(t_start=float(row["t_start"]), t_end=float(row["t_end"]),
+                            prn=int(row["prn"]), log_score=float(row["score_log"]),
+                            decision=row["decision"], label=row["label"])
+                for row in reader]
+
+
+def required_n_for_zero_eer(genuine_scores, spoofed_scores, n_max):
+    """Smallest averaging depth n <= n_max with zero EER over disjoint blocks.
+
+    Returns None when no depth reaches zero (including when the score sets
+    run out of full blocks).
+    """
+    g = np.asarray(genuine_scores, dtype=np.float64)
+    s = np.asarray(spoofed_scores, dtype=np.float64)
+    if len(g) == 0 or len(s) == 0:
+        raise ValueError("both score lists must be non-empty")
+    for n in range(1, n_max + 1):
+        gb = sd.block_log_scores(g, n)
+        sb = sd.block_log_scores(s, n)
+        if len(gb) == 0 or len(sb) == 0:
+            return None
+        _, eer = sd.eer_threshold(gb, sb)
+        if eer == 0.0:
+            return n
+    return None
+
+
+def swapped(report):
+    """An EvalReport with the positive class flipped (detected-spoof positive)."""
+    tp, fp, tn, fn = report.counts
+    return replace(report, fpr=report.fnr, fnr=report.fpr, counts=(tn, fn, tp, fp))
 
 
 def truth_init(prn, code_phase, doppler):

@@ -244,7 +244,7 @@ def test_criterion_07_averaging_reaches_zero_eer(replay_scores):
     assert eers[0] > 0.05  # genuinely overlapping at n=1
     assert eers[-1] == 0.0
 
-    n_star = sd.required_n_for_zero_eer(g, s, 1000)
+    n_star = helpers.required_n_for_zero_eer(g, s, 1000)
     assert n_star is not None and n_star <= 1000
 
     brute = None
@@ -336,7 +336,7 @@ def test_criterion_09_io_round_trips(tmp_path):
                                    power_status="matched-powered", multipath="no",
                                    duration_s=420.0, location="desk")
     cio.save_manifest(manifest, tmp_path / "m.json")
-    assert cio.load_manifest(tmp_path / "m.json") == manifest
+    assert helpers.load_manifest(tmp_path / "m.json") == manifest
     _ok(9, f"{checked} capture payloads ({3} formats incl. empty/single) plus "
            f"model and manifest round-trip bit-exactly")
 

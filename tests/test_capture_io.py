@@ -13,7 +13,7 @@ from gnssfp import receiver_core as rc
 from gnssfp.fingerprint_features import FEATURE_DTYPE, FeatureWindowConfig
 from gnssfp.signal_sim import IqStream
 from gnssfp.spoof_detector import Decision, DetectorProfile, EvalReport
-from helpers import epoch_array
+from helpers import epoch_array, load_manifest, read_decisions_csv
 
 
 def npy_bytes(array) -> bytes:
@@ -303,14 +303,14 @@ class TestManifest:
     def test_round_trip(self, tmp_path):
         manifest = self._spoofed()
         cio.save_manifest(manifest, tmp_path / "m.json")
-        assert cio.load_manifest(tmp_path / "m.json") == manifest
+        assert load_manifest(tmp_path / "m.json") == manifest
 
     def test_table_style_row(self, tmp_path):
         m = cio.DatasetManifest(id="s1", role="spoofed", spoofing_type="time",
                                 threat_model="replay", power_status="over-powered",
                                 multipath="no", duration_s=3600.0, location="desk")
         cio.save_manifest(m, tmp_path / "row.json")
-        back = cio.load_manifest(tmp_path / "row.json")
+        back = load_manifest(tmp_path / "row.json")
         assert back.power_status == "over-powered"
         assert back.multipath == "no"
         assert back.duration_s == 3600.0
@@ -321,19 +321,19 @@ class TestManifest:
                "threat_model": "replay", "power_status": ""}
         (tmp_path / "bad.json").write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="power status"):
-            cio.load_manifest(tmp_path / "bad.json")
+            load_manifest(tmp_path / "bad.json")
 
     def test_version_mismatch(self, tmp_path):
         doc = {"format": cio.MANIFEST_FORMAT, "version": 99, "id": "x",
                "role": "genuine"}
         (tmp_path / "v.json").write_text(json.dumps(doc))
         with pytest.raises(cio.UnsupportedVersionError):
-            cio.load_manifest(tmp_path / "v.json")
+            load_manifest(tmp_path / "v.json")
 
     def test_genuine_needs_no_attack_fields(self, tmp_path):
         m = cio.DatasetManifest(id="g1", role="genuine")
         cio.save_manifest(m, tmp_path / "g.json")
-        assert cio.load_manifest(tmp_path / "g.json").role == "genuine"
+        assert load_manifest(tmp_path / "g.json").role == "genuine"
 
 
 class TestModelFile:
@@ -455,7 +455,7 @@ class TestCsvFormats:
         cio.write_decisions_csv(decisions, tmp_path / "d.csv")
         header = (tmp_path / "d.csv").read_text().splitlines()[0]
         assert header == "t_start,t_end,prn,score_log,decision,label"
-        assert cio.read_decisions_csv(tmp_path / "d.csv") == decisions
+        assert read_decisions_csv(tmp_path / "d.csv") == decisions
 
     def test_wrong_header_rejected(self, tmp_path):
         (tmp_path / "x.csv").write_text("a,b,c\n1,2,3\n")

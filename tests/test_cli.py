@@ -5,6 +5,8 @@ import multiprocessing
 import os
 import shutil
 import signal
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,9 +16,9 @@ from gnssfp import capture_io as cio
 from gnssfp import cli
 from gnssfp import signal_sim as ss
 from gnssfp.cli import (EXIT_ALARM, EXIT_DATA, EXIT_OK, EXIT_USAGE, ScenarioError,
-                        build_parser, build_stream, load_scenario, main)
+                        build_parser, load_scenario, main)
 from gnssfp.receiver_core import EPOCH_DTYPE
-from helpers import stream_oracle
+from helpers import build_stream, load_manifest, read_decisions_csv, stream_oracle
 
 SCENARIO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                             "scenarios")
@@ -169,12 +171,12 @@ class TestSimulate:
         runs = cio.load_label_runs(out / "labels.npy", len(stream.samples))
         assert ss.label_intervals(runs, cfg["sample_rate"]) == [(0.0, 0.1, "genuine"),
                                                                   (0.1, 0.3, "spoofed")]
-        assert cio.load_manifest(out / "manifest.json").multipath == "yes"
+        assert load_manifest(out / "manifest.json").multipath == "yes"
 
     def test_outputs_and_manifest(self, pipeline_dir):
         _, paths = pipeline_dir
         out = paths["spoofed"]
-        manifest = cio.load_manifest(out / "manifest.json")
+        manifest = load_manifest(out / "manifest.json")
         assert manifest.role == "spoofed"
         assert manifest.threat_model == "spoofing"
         assert manifest.power_status == "over-powered"
@@ -296,7 +298,7 @@ class TestTrainEvalDetect:
                      "--labels", str(paths["spoofed"] / "labels.npy"),
                      "--out", str(tmp_path / "det_spoof")])
         assert code == EXIT_ALARM
-        decisions = cio.read_decisions_csv(tmp_path / "det_spoof" / "decisions.csv")
+        decisions = read_decisions_csv(tmp_path / "det_spoof" / "decisions.csv")
         assert decisions and all(d.decision == "malicious" for d in decisions)
         assert all(d.label == "spoofed" for d in decisions)
 
@@ -313,7 +315,7 @@ class TestTrainEvalDetect:
         assert main(["detect", "--capture", str(paths["spoofed"] / "capture.iq"),
                      "--profile", str(profile), "--prn", "7",
                      "--out", str(tmp_path / "det")]) == EXIT_ALARM
-        decisions = cio.read_decisions_csv(tmp_path / "det" / "decisions.csv")
+        decisions = read_decisions_csv(tmp_path / "det" / "decisions.csv")
         assert decisions and all(d.label == "unknown" for d in decisions)
 
     @pytest.mark.parametrize("labels, message", [
@@ -392,7 +394,7 @@ class TestTrainEvalDetect:
         code = main(["detect", "--epochs", str(paths["spoofed"] / "epochs_prn07.csv"),
                      "--profile", str(profile), "--out", str(tmp_path / "det_ep")])
         assert code == EXIT_ALARM
-        decisions = cio.read_decisions_csv(tmp_path / "det_ep" / "decisions.csv")
+        decisions = read_decisions_csv(tmp_path / "det_ep" / "decisions.csv")
         assert decisions and all(d.prn == 7 for d in decisions)
 
     @pytest.mark.parametrize("command", ["track", "detect"])
@@ -761,3 +763,15 @@ def test_parser_flags_and_defaults(monkeypatch):
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args([command] + partial)
             assert exc.value.code == EXIT_USAGE, (command, flag)
+
+
+def test_cli_imports_no_scipy():
+    # The runtime needs numpy alone; scipy is a test oracle only.
+    src = os.path.join(os.path.dirname(SCENARIO_DIR), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, gnssfp.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

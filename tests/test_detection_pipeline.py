@@ -15,7 +15,7 @@ from gnssfp import fingerprint_features as ff
 from gnssfp import receiver_core as rc
 from gnssfp import signal_sim as ss
 from gnssfp import spoof_detector as sd
-from gnssfp.cli import build_stream, load_scenario
+from gnssfp.cli import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -28,7 +28,7 @@ def takeover_run():
 
     train_features = helpers.scenario_features(train_cfg)
 
-    attack_stream = build_stream(attack_cfg)
+    attack_stream = helpers.build_stream(attack_cfg)
     fs = attack_cfg["sample_rate"]
     label_ivs = [(a / fs, b / fs, ss.LABEL_NAMES[code])
                  for a, b, code in ss.label_runs(attack_cfg["attack"], fs,
@@ -53,7 +53,7 @@ def takeover_run():
 def test_genuine_stream_yields_no_alarms(takeover_run):
     attack_cfg, window, profile, _, _, train_features = takeover_run
     cfg = load_scenario(str(SCENARIOS / "takeover_genuine.json"))
-    stream = build_stream({**cfg, "noise_seed": cfg["noise_seed"] + 1000})
+    stream = helpers.build_stream({**cfg, "noise_seed": cfg["noise_seed"] + 1000})
     decisions = []
     for scen in cfg["satellites"][:2]:
         acq = rc.acquire(stream, scen.prn)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import logsumexp
 
 from gnssfp import mvn_model
 from gnssfp.mvn_model import (density, fit, from_moments, log_density,
@@ -223,3 +224,30 @@ def test_log_mean_of_scores_shapes():
     assert log_mean_of_scores(np.empty((0, 4))).shape == (0,)
     with pytest.raises(ValueError):
         log_mean_of_scores(np.empty((3, 0)))
+
+
+def test_private_logsumexp_is_bit_exact_with_scipy():
+    # scipy is the oracle: the same bits on rows with tied maxima, single -inf
+    # entries, all -inf rows, one column, and strided sliding windows
+    rng = np.random.default_rng(16)
+    for trial in range(2000):
+        shape = ((int(rng.integers(1, 6)), int(rng.integers(1, 40))) if trial % 2
+                 else (int(rng.integers(1, 60)),))
+        a = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), shape) + rng.uniform(-800.0, 100.0)
+        case = trial % 6
+        if case == 1:
+            a = np.round(a / 50.0) * 50.0
+        elif case == 2:
+            a.flat[rng.integers(0, a.size)] = -np.inf
+        elif case == 3:
+            a[...] = -np.inf
+        elif case == 4:
+            a[..., :1] = -np.inf
+            a[0] = -np.inf
+        elif case == 5:
+            a[...] = a.flat[0]
+        windows = np.lib.stride_tricks.sliding_window_view(a, (a.shape[-1] + 1) // 2, axis=-1)
+        for x in (a, a[..., :1], windows):
+            got, want = mvn_model._logsumexp(x), logsumexp(x, axis=-1)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want), x

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gnssfp.prn_codes import (CODE_LENGTH, circular_correlate, generate_ca_code,
-                              sample_code)
+from gnssfp.prn_codes import CODE_LENGTH, generate_ca_code, sample_code
+from helpers import circular_correlate
 
 # First 10 chips of each code as an octal word, computed before the build by
 # an independent two-LFSR simulation driven by the published G2 delay table

@@ -6,9 +6,9 @@ import pytest
 
 from gnssfp import receiver_core as rc
 from gnssfp import signal_sim as ss
-from gnssfp.cli import build_stream, load_scenario
+from gnssfp.cli import load_scenario
 from gnssfp.prn_codes import generate_ca_code
-from helpers import acquire_oracle, epoch_array, track_channel_oracle
+from helpers import acquire_oracle, build_stream, epoch_array, track_channel_oracle
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -4,7 +4,7 @@ import pytest
 from gnssfp import spoof_detector as sd
 from gnssfp.spoof_detector import (DECISION_AUTHENTIC, DECISION_MALICIOUS,
                                    Decision, DetectorProfile)
-from helpers import epoch_array, log_mean_oracle
+from helpers import epoch_array, log_mean_oracle, required_n_for_zero_eer, swapped
 
 
 def sweep_oracle(genuine, spoofed):
@@ -162,7 +162,7 @@ class TestEvaluate:
     def test_swapped_orientation(self):
         prof = DetectorProfile(model=None, log_threshold=0.0, n_avg=1)
         report = sd.evaluate([1.0, -1.0], [-2.0, 2.0], prof)
-        flipped = report.swapped()
+        flipped = swapped(report)
         assert flipped.fpr == report.fnr and flipped.fnr == report.fpr
         tp, fp, tn, fn = report.counts
         assert flipped.counts == (tn, fn, tp, fp)
@@ -322,17 +322,17 @@ class TestSpoofTiming:
 
 class TestRequiredN:
     def test_disjoint_needs_one(self):
-        assert sd.required_n_for_zero_eer([-1.0, -2.0], [-50.0, -60.0], 10) == 1
+        assert required_n_for_zero_eer([-1.0, -2.0], [-50.0, -60.0], 10) == 1
 
     def test_identical_never_reaches_zero(self):
         scores = list(np.linspace(-10, 0, 40))
-        assert sd.required_n_for_zero_eer(scores, scores, 15) is None
+        assert required_n_for_zero_eer(scores, scores, 15) is None
 
     def test_matches_per_n_brute_force(self):
         rng = np.random.default_rng(11)
         g = rng.normal(0.0, 1.0, 600)
         s = rng.normal(-1.2, 1.0, 600)
-        result = sd.required_n_for_zero_eer(g, s, 50)
+        result = required_n_for_zero_eer(g, s, 50)
 
         expected = None
         for n in range(1, 51):
