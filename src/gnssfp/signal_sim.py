@@ -35,6 +35,13 @@ sample order, so the blocks join bit for bit into the stream that the
 whole-stream calls give, whatever the block size; the attacker is only
 synthesized or filtered from the takeover on.
 
+The noise values do not depend on the signal, so stream_blocks draws the
+next block's noise on one helper thread (numpy releases the GIL while it
+fills the array) as soon as this block's noise has been added, while the
+caller overlays and writes this block and adds the next block's
+satellites. The draws still come from the one generator in sample order.
+The thread is joined when the stream ends, is closed or fails.
+
 Streams carry samples only. A scenario's ground truth follows from its
 attack alone: label_runs gives it as (start, stop, code) sample runs,
 genuine before the takeover and then spoofed, or mixed under a seamless
@@ -44,6 +51,7 @@ read back from a labels file, into time spans.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -327,13 +335,27 @@ class _Satellite:
                 out[a - start:b - start] += row[0, a - k * epoch_len:b - k * epoch_len]
 
 
+def _draw_noise(rng: np.random.Generator, sigma: float, count: int) -> np.ndarray:
+    """The noise of the next `count` samples: the generator's next 2 * count
+    standard normal values times sigma, as interleaved float64 I,Q."""
+    noise = rng.standard_normal(2 * count)
+    noise *= sigma
+    return noise
+
+
 class _GenuineCarry:
     """What synthesize_genuine carries from one block to the next: each
-    satellite's tile and epoch scalars, the noise generator and the next
-    sample's index."""
+    satellite's tile and epoch scalars, the noise generator with the draw
+    running ahead on `pool`, and the next sample's index.
+
+    Noise is drawn in chunks of at most _NOISE_CHUNK samples that never
+    cross a block's end. With a `pool` (one worker thread), the next
+    chunk's draw starts there as soon as this chunk's values have been
+    added, and runs while the caller goes on.
+    """
 
     def __init__(self, scenarios, sample_rate, duration, noise_seed, noise_power, add_noise,
-                 block_samples=None):
+                 block_samples=None, pool: ThreadPoolExecutor | None = None):
         samples_per_epoch(sample_rate)
         prns = [s.prn for s in scenarios]
         if len(set(prns)) != len(prns):
@@ -348,7 +370,28 @@ class _GenuineCarry:
         if add_noise and noise_power > 0:
             self.noise = np.random.default_rng([int(noise_seed) & 0xFFFFFFFF, 0xA3])
         self.sigma = np.sqrt(noise_power / 2.0)
+        self.pool, self.ahead = pool, None
+        self.drawn = 0  # samples whose noise draw has been started
         self.pos = 0
+
+    def _next_count(self) -> int:
+        """Samples in the next chunk, counted as drawn."""
+        count = min(_NOISE_CHUNK, self.block - self.drawn % self.block, self.n - self.drawn)
+        self.drawn += count
+        return count
+
+    def next_noise(self) -> np.ndarray:
+        """The next chunk's noise, waiting for the draw ahead if one runs."""
+        if self.ahead is None:
+            return _draw_noise(self.noise, self.sigma, self._next_count())
+        ahead, self.ahead = self.ahead, None
+        return ahead.result()
+
+    def draw_ahead(self) -> None:
+        """Start the draw of the chunk after the one just added, on the pool."""
+        if self.pool is not None and self.drawn < self.n:
+            self.ahead = self.pool.submit(_draw_noise, self.noise, self.sigma,
+                                          self._next_count())
 
 
 def synthesize_genuine(scenarios, sample_rate: float = DEFAULT_SAMPLE_RATE,
@@ -378,11 +421,13 @@ def synthesize_genuine(scenarios, sample_rate: float = DEFAULT_SAMPLE_RATE,
     if carry.noise is not None:
         # One float64 draw per I,Q pair in sample order, so any block size
         # takes the same values from the generator.
-        for i0 in range(0, m, _NOISE_CHUNK):
-            noise = carry.noise.standard_normal(2 * min(_NOISE_CHUNK, m - i0))
-            noise *= carry.sigma
-            interleaved = out[i0:i0 + len(noise) // 2].view(np.float32)
+        i = 0
+        while i < m:
+            noise = carry.next_noise()
+            interleaved = out[i:i + len(noise) // 2].view(np.float32)
             interleaved += noise
+            i += len(noise) // 2
+            carry.draw_ahead()
     carry.pos += m
     return IqStream(out, sample_rate, t0=start / sample_rate)
 
@@ -470,16 +515,22 @@ class _ReplayChain:
             re *= scale
             im *= scale
 
-        if self.cos is not None:
-            k0, k1 = start // self.epoch_len, -(-stop // self.epoch_len)
-            window = slice(start - k0 * self.epoch_len, stop - k0 * self.epoch_len)
-            c = np.repeat(self.cos[k0:k1], self.epoch_len)[window]
-            s = np.repeat(self.sin[k0:k1], self.epoch_len)[window]
-            re, im = re * c - im * s, im * c + re * s
-
         y = np.empty(stop - start, dtype=np.complex64)
-        y.real = re
-        y.imag = im
+        if self.cos is None:
+            y.real, y.imag = re, im
+            return y
+        k0, k1 = start // self.epoch_len, -(-stop // self.epoch_len)
+        window = slice(start - k0 * self.epoch_len, stop - k0 * self.epoch_len)
+        c = np.repeat(self.cos[k0:k1], self.epoch_len)[window]
+        s = np.repeat(self.sin[k0:k1], self.epoch_len)[window]
+        # re*c - im*s and im*c + re*s, rounded as written, straight into y
+        y_re, y_im = y.real, y.imag
+        t = im * s
+        np.multiply(re, c, out=y_re)
+        y_re -= t
+        np.multiply(re, s, out=t)
+        np.multiply(im, c, out=y_im)
+        y_im += t
         return y
 
 
@@ -544,24 +595,34 @@ def spoof_overlay(genuine: IqStream, attack: AttackConfig, target_scenarios,
         held = np.concatenate([carry.held, held])
     start, end = carry.pos, h0 + len(held)
     stop = end if end == carry.n else max(end - carry.margin, start)
-    out = held[start - h0:stop - h0].copy()
-
     a = max(start, carry.k0)
-    if a < stop:
-        if carry.chain is not None:
-            lo, hi = max(a - carry.margin, 0), min(stop + carry.margin, carry.n)
-            att = carry.chain.apply(held[lo - h0:hi - h0], lo, a, stop)
-            if carry.scale != 1.0:
-                att *= np.complex64(carry.scale)
-            if attack.seamless:
+    att = None
+    if a < stop and carry.chain is not None:
+        lo, hi = max(a - carry.margin, 0), min(stop + carry.margin, carry.n)
+        att = carry.chain.apply(held[lo - h0:hi - h0], lo, a, stop)
+        if carry.scale != 1.0:
+            att *= np.complex64(carry.scale)
+    elif a < stop:
+        att = np.zeros(stop - a, dtype=np.complex64)
+        for sat in carry.satellites:
+            sat.add(att, a)
+
+    # The genuine samples stay under a spoofer (which subtracts the clean
+    # genuine signal itself when it takes over) and under a seamless replay.
+    genuine_stays = carry.chain is None or attack.seamless
+    if att is not None and a == start:
+        # The attack covers the whole block, so the output is built in its
+        # array; a sum is the same in either order.
+        out = att
+        if genuine_stays:
+            out += held[start - h0:stop - h0]
+    else:
+        out = held[start - h0:stop - h0].copy()
+        if att is not None:
+            if genuine_stays:
                 out[a - start:] += att
             else:
                 out[a - start:] = att
-        else:
-            att = np.zeros(stop - a, dtype=np.complex64)
-            for sat in carry.satellites:
-                sat.add(att, a)
-            out[a - start:] += att
 
     keep = max(stop - carry.margin, 0)
     carry.held, carry.held_from, carry.pos = held[keep - h0:].copy(), keep, stop
@@ -582,19 +643,22 @@ def stream_blocks(scenarios, sample_rate: float = DEFAULT_SAMPLE_RATE, duration:
     is bounded by the block plus a few scalars per 1 ms epoch.
     """
     block = BLOCK_SAMPLES
-    genuine = _GenuineCarry(scenarios, sample_rate, duration, noise_seed, noise_power,
-                            add_noise, block)
-    channel = _MultipathCarry(multipath, sample_rate, genuine.n) if multipath else None
-    overlay = None
-    if attack is not None:
-        overlay = _OverlayCarry(attack, target_scenarios, sample_rate, genuine.n, 0.0,
-                                noise_seed, noise_power)
-    for _ in range(max(1, -(-genuine.n // block))):
-        iq = synthesize_genuine(scenarios, sample_rate, duration, noise_seed, noise_power,
-                                add_noise, carry=genuine)
-        if channel is not None:
-            iq = apply_multipath(iq, multipath, carry=channel)
-        if overlay is not None:
-            iq = spoof_overlay(iq, attack, target_scenarios, noise_seed, noise_power,
-                               carry=overlay)
-        yield iq
+    # The pool's one thread starts on the first draw ahead; leaving the
+    # `with` (at the end, on close() or on an error) joins it.
+    with ThreadPoolExecutor(1, thread_name_prefix="gnssfp-noise") as pool:
+        genuine = _GenuineCarry(scenarios, sample_rate, duration, noise_seed, noise_power,
+                                add_noise, block, pool)
+        channel = _MultipathCarry(multipath, sample_rate, genuine.n) if multipath else None
+        overlay = None
+        if attack is not None:
+            overlay = _OverlayCarry(attack, target_scenarios, sample_rate, genuine.n, 0.0,
+                                    noise_seed, noise_power)
+        for _ in range(max(1, -(-genuine.n // block))):
+            iq = synthesize_genuine(scenarios, sample_rate, duration, noise_seed, noise_power,
+                                    add_noise, carry=genuine)
+            if channel is not None:
+                iq = apply_multipath(iq, multipath, carry=channel)
+            if overlay is not None:
+                iq = spoof_overlay(iq, attack, target_scenarios, noise_seed, noise_power,
+                                   carry=overlay)
+            yield iq

@@ -7,6 +7,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -666,6 +667,23 @@ class TestParallelTracking:
         for jobs in ("2", "4"):
             assert outputs[jobs][:4] == outputs["1"][:4], jobs
         assert multiprocessing.active_children() == []
+
+    def test_simulate_leaves_no_thread_before_track_forks(self, tmp_path, monkeypatch):
+        # simulate draws noise ahead on a helper thread; a fork must not find it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        real_fork, threads_at_fork = os.fork, []
+
+        def fork():
+            threads_at_fork.append(threading.active_count())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        scen = shortened_scenario(tmp_path, "takeover_attack", 0.5)
+        assert main(["simulate", "--scenario", scen, "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["track", "--capture", str(tmp_path / "capture.iq"),
+                     *_prn_args(TAKEOVER_PRNS), "--jobs", "2",
+                     "--out", str(tmp_path / "track")]) == EXIT_OK
+        assert threads_at_fork == [1]
 
     def test_one_job_never_forks(self, takeover_dir, tmp_path, monkeypatch):
         def no_fork():

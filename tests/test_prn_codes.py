@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gnssfp.prn_codes import CODE_LENGTH, generate_ca_code, sample_code
-from helpers import circular_correlate
+from helpers import circular_correlate, oracle_circcorr
 
 # First 10 chips of each code as an octal word, computed before the build by
 # an independent two-LFSR simulation driven by the published G2 delay table
@@ -39,10 +39,6 @@ def _oracle_code(prn):
     g1 = lfsr([3, 10], 10)
     g2 = np.roll(lfsr([2, 3, 6, 8, 9, 10], 10), G2_DELAY[prn - 1])
     return 1 - 2 * (g1 ^ g2)
-
-
-def _oracle_circcorr(a, b):
-    return np.array([np.dot(a, np.roll(b, -k)) for k in range(len(a))])
 
 
 def test_first_chips_match_published_octal():
@@ -91,7 +87,7 @@ def test_circular_correlate_matches_oracle():
         n = int(rng.integers(3, 64))
         a = rng.choice([-1, 1], n)
         b = rng.choice([-1, 1], n)
-        assert np.array_equal(circular_correlate(a, b), _oracle_circcorr(a, b))
+        assert np.array_equal(circular_correlate(a, b), oracle_circcorr(a, b))
 
 
 def test_circular_correlate_length_mismatch():
@@ -103,7 +99,7 @@ def test_gold_three_valued_cross_correlation_sample_pairs():
     for a, b in [(1, 2), (1, 7), (3, 19), (5, 32)]:
         ca = generate_ca_code(a).chips
         cb = generate_ca_code(b).chips
-        cross = _oracle_circcorr(ca.astype(np.int64), cb.astype(np.int64))
+        cross = oracle_circcorr(ca.astype(np.int64), cb.astype(np.int64))
         assert set(np.unique(cross)) <= {-65, -1, 63}, (a, b)
         assert np.abs(cross).max() <= 65
         assert np.array_equal(circular_correlate(ca, cb), cross)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,49 @@ class TestStreamBlocks:
         assert len(block.samples) == 0
         with pytest.raises(ValueError, match="replay"):
             list(ss.stream_blocks(self.SATS, FS, 0.0, attack=self.ATTACKS["replay"]))
+
+    # 0.01 s in blocks of 4096 samples: five blocks, each drawn as one noise chunk
+    @pytest.mark.parametrize("end", ["full pass", "close after one block", "consumer error"])
+    def test_no_thread_outlives_the_stream(self, end, monkeypatch):
+        monkeypatch.setattr(ss, "BLOCK_SAMPLES", 4096)
+        before = threading.active_count()
+
+        def consume(stop_after):
+            for k, _ in enumerate(ss.stream_blocks(self.SATS, FS, 0.01, 3), 1):
+                if k == stop_after:
+                    raise RuntimeError("consumer failed")
+            return k
+
+        if end == "full pass":
+            assert consume(None) == 5
+        elif end == "close after one block":
+            blocks = ss.stream_blocks(self.SATS, FS, 0.01, 3)
+            next(blocks)
+            assert threading.active_count() == before + 1  # drawing block 2's noise
+            blocks.close()
+        else:
+            with pytest.raises(RuntimeError, match="consumer failed"):
+                consume(3)
+        assert threading.active_count() == before
+
+    def test_a_failed_draw_ahead_surfaces_at_its_block(self, monkeypatch):
+        monkeypatch.setattr(ss, "BLOCK_SAMPLES", 4096)
+        real_draw, in_main_thread = ss._draw_noise, []
+
+        def draw(rng, sigma, count):
+            in_main_thread.append(threading.current_thread() is threading.main_thread())
+            if len(in_main_thread) == 3:
+                raise RuntimeError("draw failed")
+            return real_draw(rng, sigma, count)
+
+        monkeypatch.setattr(ss, "_draw_noise", draw)
+        before, blocks = threading.active_count(), []
+        with pytest.raises(RuntimeError, match="draw failed"):
+            for block in ss.stream_blocks(self.SATS, FS, 0.01, 3):
+                blocks.append(block)
+        # block 1's noise is drawn in the caller, blocks 2 and 3 ahead on the helper
+        assert len(blocks) == 2 and in_main_thread == [True, False, False]
+        assert threading.active_count() == before
 
 
 class TestLabelIntervals:
