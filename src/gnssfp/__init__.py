@@ -10,7 +10,7 @@ from .receiver_core import (EPOCH_DTYPE, AcquisitionResult, TrackingConfig,
                             TrackResult, acquire, lock_masks, track_channel)
 from .fingerprint_features import (FEATURE_DTYPE, FeatureWindowConfig,
                                    extract_features, feature_matrix)
-from .mvn_model import MvnModel, density, fit, from_moments, log_density
+from .mvn_model import MvnModel, fit, from_moments, log_density
 from .spoof_detector import (Decision, DetectorProfile, EvalReport,
                              SpoofTimingReport, detect_stream, eer_threshold,
                              evaluate, kfold_xval, prn_sets, spoof_timing, train)

@@ -16,7 +16,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass
+import warnings
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -38,7 +39,7 @@ _CHUNK = 1 << 16
 
 
 class FormatError(ValueError):
-    """Payload bytes inconsistent with the declared capture format."""
+    """A file's contents inconsistent with its declared format."""
 
 
 class UnsupportedVersionError(ValueError):
@@ -55,8 +56,8 @@ class CaptureMeta:
     notes: str = ""
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0 < self.sample_rate < np.inf:  # JSON allows NaN and Infinity
+            raise ValueError("sample_rate must be positive and finite")
         if self.sample_format not in _SAMPLE_DTYPES:
             raise ValueError(f"unknown sample_format {self.sample_format!r}")
         if self.byte_order not in ("little", "big"):
@@ -66,6 +67,12 @@ class CaptureMeta:
     def dtype(self) -> np.dtype:
         dt = np.dtype(_SAMPLE_DTYPES[self.sample_format])
         return dt.newbyteorder("<" if self.byte_order == "little" else ">")
+
+
+def _write_json(path, doc) -> None:
+    with open(str(path), "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def sidecar_path(path) -> str:
@@ -108,10 +115,8 @@ def write_iq(stream: IqStream, path, meta: CaptureMeta, append: bool = False) ->
     with open(str(path), "ab" if append else "wb") as f:
         payload.tofile(f)
     if not append:
-        with open(sidecar_path(path), "w", encoding="utf-8") as f:
-            json.dump({"format": "gnssfp-capture", "version": 1, **asdict(meta)},
-                      f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(sidecar_path(path), {"format": "gnssfp-capture", "version": 1,
+                                         **asdict(meta)})
 
 
 class CaptureWriter:
@@ -170,14 +175,37 @@ class CaptureWriter:
                              f"expected {self.n_samples}")
 
 
+# The JSON value types a dataclass field takes, by its annotation (true is no number).
+_JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,), "bool": (bool,)}
+
+
+def _from_json(cls, doc, where, what):
+    """`cls(**doc)` for a JSON object of cls's fields of their annotated types."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{where}: {what} must be a JSON object, got {doc!r}")
+    types = {field.name: field.type for field in fields(cls)}
+    for key, value in doc.items():
+        if key not in types:
+            raise FormatError(f"{where}: unknown {what} field '{key}'")
+        if type(value) not in _JSON_TYPES[types[key]]:
+            raise FormatError(f"{where}: {what} field '{key}' is not {types[key]}: {value!r}")
+    try:
+        return cls(**doc)
+    except (TypeError, ValueError) as exc:  # a required field missing, a value out of range
+        raise FormatError(f"{where}: {what}: {exc}") from exc
+
+
 def read_meta(path) -> CaptureMeta:
-    with open(sidecar_path(path), encoding="utf-8") as f:
+    """A capture's sidecar: JSON of CaptureMeta's fields, `format` and `version` 1."""
+    where = sidecar_path(path)
+    with open(where, encoding="utf-8") as f:
         raw = json.load(f)
-    raw.pop("format", None)
-    version = raw.pop("version", 1)
-    if version != 1:
-        raise UnsupportedVersionError(f"capture sidecar version {version} not supported")
-    return CaptureMeta(**raw)
+    if isinstance(raw, dict):
+        raw = {key: value for key, value in raw.items() if key != "format"}
+        version = raw.pop("version", 1)
+        if version != 1:
+            raise UnsupportedVersionError(f"capture sidecar version {version} not supported")
+    return _from_json(CaptureMeta, raw, where, "capture sidecar")
 
 
 def capture_length(path, meta: CaptureMeta) -> int:
@@ -192,20 +220,15 @@ def capture_length(path, meta: CaptureMeta) -> int:
     return size // pair
 
 
-def read_iq(path, meta: CaptureMeta | None = None, decimate: int = 1,
-            offset_samples: int = 0, count: int | None = None) -> IqStream:
+def read_iq(path, meta: CaptureMeta | None = None, offset_samples: int = 0,
+            count: int | None = None) -> IqStream:
     """Decode interleaved I,Q into an IqStream.
 
     Integer formats are scaled to [-1, 1) by 2^(bits-1). `offset_samples`
-    and `count` window the read so multi-GB captures never load whole;
-    `decimate` keeps every decimate-th sample by plain dropping (no
-    anti-alias filter: out-of-band energy folds in; prefer captures near
-    the target rate).
+    and `count` window the read so multi-GB captures never load whole.
     """
     if meta is None:
         meta = read_meta(path)
-    if decimate < 1 or int(decimate) != decimate:
-        raise ValueError(f"decimate must be a positive integer, got {decimate}")
     if offset_samples < 0:
         raise ValueError(f"offset_samples must be >= 0, got {offset_samples}")
     if count is not None and count < 0:
@@ -218,28 +241,23 @@ def read_iq(path, meta: CaptureMeta | None = None, decimate: int = 1,
 
     # Decoded chunk by chunk straight into one complex64 array: int8/int16
     # values and their scaling by a power of two are exact in float32.
-    samples = np.empty(-(-n_read // decimate), dtype=np.complex64)
+    samples = np.empty(n_read, dtype=np.complex64)
     with open(str(path), "rb") as f:
-        if meta.dtype == np.float32 and decimate == 1 and not meta.iq_swap:
+        f.seek(offset_samples * 2 * width)
+        if meta.dtype == np.float32 and not meta.iq_swap:
             # Native float32 I,Q pairs are complex64 bytes as they stand.
-            f.seek(offset_samples * 2 * width)
             if f.readinto(samples.view(np.uint8)) != samples.nbytes:
                 raise FormatError(f"{path}: payload ended before sample "
                                   f"{offset_samples + n_read}")
         else:
-            for j0 in range(0, len(samples), _CHUNK):
+            first = int(meta.iq_swap)  # where I sits in each pair
+            for j0 in range(0, n_read, _CHUNK):
                 part = samples[j0:j0 + _CHUNK]
-                f.seek((offset_samples + j0 * decimate) * 2 * width)
-                raw = np.fromfile(f, dtype=meta.dtype,
-                                  count=2 * ((len(part) - 1) * decimate + 1))
-                i_part, q_part = raw[0::2 * decimate], raw[1::2 * decimate]
-                if meta.iq_swap:
-                    i_part, q_part = q_part, i_part
-                part.real = i_part
-                part.imag = q_part
+                raw = np.fromfile(f, dtype=meta.dtype, count=2 * len(part))
+                part.real, part.imag = raw[first::2], raw[1 - first::2]
                 if meta.sample_format != "float32":
                     part /= np.float32(1 << (8 * width - 1))
-    return IqStream(samples, meta.sample_rate / decimate,
+    return IqStream(samples, meta.sample_rate,
                     t0=meta.t0 + offset_samples / meta.sample_rate)
 
 
@@ -320,10 +338,8 @@ class DatasetManifest:
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    doc = {"format": MANIFEST_FORMAT, "version": MANIFEST_VERSION, **asdict(manifest)}
-    with open(str(path), "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(path, {"format": MANIFEST_FORMAT, "version": MANIFEST_VERSION,
+                       **asdict(manifest)})
 
 
 # --------------------------------------------------------------------------
@@ -333,7 +349,7 @@ def save_model(profile: DetectorProfile, path,
                window: FeatureWindowConfig | None = None,
                provenance: dict | None = None) -> None:
     """Serialize a trained profile; numeric fields round-trip bit-exactly."""
-    doc = {
+    _write_json(path, {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "k": profile.model.k,
@@ -346,13 +362,7 @@ def save_model(profile: DetectorProfile, path,
         "threshold_method": profile.threshold_method,
         "window": asdict(window) if window is not None else asdict(FeatureWindowConfig()),
         "provenance": provenance or {},
-    }
-    with open(str(path), "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-_MODEL_FIELDS = ("k", "mu", "sigma", "log_threshold", "n_avg")
+    })
 
 
 def _read_profile(path) -> dict:
@@ -369,7 +379,7 @@ def _read_profile(path) -> dict:
 
 def load_model(path) -> DetectorProfile:
     doc = _read_profile(path)
-    for key in _MODEL_FIELDS:
+    for key in ("k", "mu", "sigma", "log_threshold", "n_avg"):
         if key not in doc:
             raise ValueError(f"{path}: profile missing required field '{key}'")
     k = int(doc["k"])
@@ -386,27 +396,13 @@ def load_model(path) -> DetectorProfile:
 
 
 def load_window_config(path) -> FeatureWindowConfig:
-    window = _read_profile(path).get("window", {})
-    if not isinstance(window, dict):
-        raise ValueError(f"{path}: profile window must be a JSON object, got {window!r}")
-    for key, value in window.items():
-        if key not in asdict(FeatureWindowConfig()):
-            raise ValueError(f"{path}: unknown profile window field '{key}'")
-        if type(value) is not int:
-            raise ValueError(f"{path}: profile window field '{key}' must be an "
-                             f"integer, got {value!r}")
-    try:
-        return FeatureWindowConfig(**window)
-    except ValueError as exc:
-        raise ValueError(f"{path}: profile window: {exc}") from exc
+    return _from_json(FeatureWindowConfig, _read_profile(path).get("window", {}), path,
+                      "profile window")
 
 
 # --------------------------------------------------------------------------
-# CSV interchange (epochs -> features -> decisions -> reports)
-
-def _fmt(value) -> str:
-    return repr(float(value))
-
+# CSV interchange (epochs -> features -> decisions -> reports). csv writes a
+# Python float by its repr, so every float round-trips exactly.
 
 def _write_csv(path, header, rows) -> None:
     with open(str(path), "w", newline="", encoding="utf-8") as f:
@@ -415,13 +411,18 @@ def _write_csv(path, header, rows) -> None:
         w.writerows(rows)
 
 
-def _read_csv(path, header, kind):
-    """Yield the rows of a CSV as dicts after checking its header."""
-    with open(str(path), newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != header:
-            raise ValueError(f"{path}: unexpected {kind} CSV header {reader.fieldnames}")
-        yield from reader
+def _read_table(path, header, kind, dtype) -> np.ndarray:
+    """Check a CSV's header, then parse its rows as `dtype` records in one
+    np.loadtxt pass; a wrong field count or a bad cell is a ValueError."""
+    with open(str(path), newline="", encoding="utf-8") as f, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # header only
+        found = next(csv.reader(f), None)
+        if found != header:
+            raise ValueError(f"{path}: unexpected {kind} CSV header {found}")
+        try:
+            return np.loadtxt(f, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed {kind} CSV: {exc}") from exc
 
 
 EPOCH_CSV_HEADER = ["t", "e_re", "e_im", "p_re", "p_im", "l_re", "l_im",
@@ -429,31 +430,29 @@ EPOCH_CSV_HEADER = ["t", "e_re", "e_im", "p_re", "p_im", "l_re", "l_im",
 
 
 def write_epochs_csv(epochs, path) -> None:
-    # A record is the CSV's columns as float64; csv writes floats by exact repr.
+    # A record is the CSV's columns as float64.
     columns = np.ascontiguousarray(epochs, dtype=EPOCH_DTYPE).view(np.float64)
     columns = columns.reshape(-1, len(EPOCH_CSV_HEADER))
     _write_csv(path, EPOCH_CSV_HEADER, (row.tolist() for row in columns))
 
 
 def read_epochs_csv(path) -> np.recarray:
-    flat = np.fromiter((float(row[key]) for row in _read_csv(path, EPOCH_CSV_HEADER, "epoch")
-                        for key in EPOCH_CSV_HEADER), dtype=np.float64)
-    return flat.reshape(-1, len(EPOCH_CSV_HEADER)).view(EPOCH_DTYPE)[:, 0].view(np.recarray)
+    # One float64 field per column: the bytes of EPOCH_DTYPE records.
+    table = _read_table(path, EPOCH_CSV_HEADER, "epoch",
+                        [(name, np.float64) for name in EPOCH_CSV_HEADER])
+    return table.view(EPOCH_DTYPE).view(np.recarray)
 
 
 FEATURE_CSV_HEADER = list(FEATURE_DTYPE.names)
 
 
 def write_features_csv(features, path) -> None:
-    # tolist() gives Python floats and ints; csv writes floats by exact repr.
+    # tolist() gives Python floats and ints.
     _write_csv(path, FEATURE_CSV_HEADER, np.asarray(features, dtype=FEATURE_DTYPE).tolist())
 
 
 def read_features_csv(path) -> np.recarray:
-    return np.array([(float(row["t"]), int(row["prn"]),
-                      *(float(row[key]) for key in FEATURE_CSV_HEADER[2:]))
-                     for row in _read_csv(path, FEATURE_CSV_HEADER, "feature")],
-                    dtype=FEATURE_DTYPE).view(np.recarray)
+    return _read_table(path, FEATURE_CSV_HEADER, "feature", FEATURE_DTYPE).view(np.recarray)
 
 
 DECISION_CSV_HEADER = ["t_start", "t_end", "prn", "score_log", "decision", "label"]
@@ -461,7 +460,7 @@ DECISION_CSV_HEADER = ["t_start", "t_end", "prn", "score_log", "decision", "labe
 
 def write_decisions_csv(decisions, path) -> None:
     _write_csv(path, DECISION_CSV_HEADER,
-               ([_fmt(d.t_start), _fmt(d.t_end), d.prn, _fmt(d.log_score), d.decision,
+               ([float(d.t_start), float(d.t_end), d.prn, float(d.log_score), d.decision,
                  d.label] for d in decisions))
 
 
@@ -471,5 +470,5 @@ REPORT_CSV_HEADER = ["dataset", "n_avg", "fpr", "fnr", "eer", "threshold_log",
 
 def write_reports_csv(reports, path, names) -> None:
     _write_csv(path, REPORT_CSV_HEADER,
-               ([name, r.n_avg, _fmt(r.fpr), _fmt(r.fnr), _fmt(r.eer), _fmt(r.threshold),
+               ([name, r.n_avg, float(r.fpr), float(r.fnr), float(r.eer), float(r.threshold),
                  *r.counts] for name, r in zip(names, reports)))

@@ -88,11 +88,6 @@ def log_density(x, model: MvnModel):
     return float(out[0]) if np.ndim(x) == 1 else out
 
 
-def density(x, model: MvnModel):
-    """MVN density at x; underflows to 0.0 below ~1e-308 (use log_density)."""
-    return np.exp(log_density(x, model))
-
-
 def log_mean_of_scores(log_scores):
     """Log-sum-exp mean of already-computed log densities over the last axis.
 

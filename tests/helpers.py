@@ -17,6 +17,7 @@ from scipy.special import logsumexp
 
 from gnssfp import capture_io as cio
 from gnssfp import fingerprint_features as ff
+from gnssfp import mvn_model
 from gnssfp import receiver_core as rc
 from gnssfp import signal_sim as ss
 from gnssfp import spoof_detector as sd
@@ -116,6 +117,11 @@ def swapped(report):
     """An EvalReport with the positive class flipped (detected-spoof positive)."""
     tp, fp, tn, fn = report.counts
     return replace(report, fpr=report.fnr, fnr=report.fpr, counts=(tn, fn, tp, fp))
+
+
+def density(x, model):
+    """MVN density at x; underflows to 0.0 below ~1e-308 (use log_density)."""
+    return np.exp(mvn_model.log_density(x, model))
 
 
 def truth_init(prn, code_phase, doppler):

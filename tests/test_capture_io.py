@@ -125,18 +125,6 @@ class TestIqRoundTrip:
         assert np.concatenate([b.samples for b in blocks]).tobytes() == whole.samples.tobytes()
         assert [b.t0 for b in blocks] == [3.5 + i * block / 1e6 for i in range(len(blocks))]
 
-    def test_decimation_length_and_rate(self, tmp_path):
-        rng = np.random.default_rng(7)
-        n = 1000
-        stream = IqStream(representable_samples(rng, n, "int16"), 25e6)
-        meta = cio.CaptureMeta(sample_rate=25e6, sample_format="int16")
-        path = tmp_path / "dec.iq"
-        cio.write_iq(stream, path, meta)
-        out = cio.read_iq(path, decimate=12)
-        assert len(out.samples) == int(np.ceil(n / 12))
-        assert out.sample_rate == pytest.approx(25e6 / 12)
-        assert np.array_equal(out.samples, stream.samples[::12])
-
     def test_windowed_read(self, tmp_path):
         rng = np.random.default_rng(8)
         stream = IqStream(representable_samples(rng, 100, "float32"), 1e6)
@@ -165,18 +153,17 @@ class TestIqRoundTrip:
             raw[:2] = [info.min, info.max]
         path = tmp_path / "chunks.iq"
         raw.tofile(path)
-        for offset, decimate, count in [(0, 1, None), (3, 1, 20), (5, 3, None), (6, 4, 29),
-                                        (13, 2, 14), (0, 7, None), (1, 50, None),
-                                        (49, 1, None), (50, 1, None), (7, 1, 7)]:
+        for offset, count in [(0, None), (3, 20), (5, None), (6, 29), (13, 14), (1, None),
+                              (49, None), (50, None), (7, 7)]:
             # the whole payload at once, sliced to the window
-            pairs = raw.reshape(-1, 2)[offset:][:count][::decimate]
+            pairs = raw.reshape(-1, 2)[offset:][:count]
             i_part, q_part = (pairs[:, 1], pairs[:, 0]) if iq_swap else (pairs[:, 0], pairs[:, 1])
             expected = np.empty(len(pairs), dtype=np.complex64)
             expected.real, expected.imag = i_part, q_part
             if fmt != "float32":
                 expected /= np.float32(1 << (8 * raw.itemsize - 1))
-            out = cio.read_iq(path, meta, decimate=decimate, offset_samples=offset, count=count)
-            assert out.samples.tobytes() == expected.tobytes(), (offset, decimate, count)
+            out = cio.read_iq(path, meta, offset_samples=offset, count=count)
+            assert out.samples.tobytes() == expected.tobytes(), (offset, count)
 
     def test_payload_that_ends_early_is_a_format_error(self, tmp_path, monkeypatch):
         meta = cio.CaptureMeta(sample_rate=1e6, sample_format="float32")

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -572,6 +574,117 @@ class TestTrainEvalDetect:
         cio.save_model(spoof_detector.DetectorProfile(model, -10.0), rng_profile)
         assert main(["detect", "--profile", str(rng_profile),
                      "--out", str(tmp_path)]) == EXIT_USAGE
+
+
+# A data row's cells turned into a malformed row.
+MALFORMED_ROWS = {"short_row": lambda cells: cells[:-1],
+                  "extra_field": lambda cells: cells + ["0.0"],
+                  "non_numeric": lambda cells: cells[:3] + ["abc"] + cells[4:]}
+
+
+def _rewrite_csv(src, dst, edit_row=lambda cells: cells, quoting=csv.QUOTE_MINIMAL):
+    """Copy the CSV `src` to `dst`, its second data row through `edit_row`."""
+    with open(src, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    rows[2] = edit_row(rows[2])
+    with open(dst, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f, quoting=quoting).writerows(rows)
+    return str(dst)
+
+
+class TestMalformedInputs:
+    @pytest.fixture
+    def profile(self, pipeline_dir, tmp_path):
+        _, paths = pipeline_dir
+        profile = str(tmp_path / "profile.json")
+        assert main(["train", "--genuine", str(paths["genuine"] / "features.csv"),
+                     "--spoofed", str(paths["spoofed"] / "features.csv"),
+                     "--out", profile]) == EXIT_OK
+        return profile
+
+    @pytest.mark.parametrize("row", sorted(MALFORMED_ROWS))
+    @pytest.mark.parametrize("command", ["extract", "detect", "train", "eval"])
+    def test_malformed_table_row_is_data_error(self, pipeline_dir, profile, tmp_path, capsys,
+                                               command, row):
+        _, paths = pipeline_dir
+        good = {"epoch": paths["spoofed"] / "epochs_prn07.csv",
+                "feature": paths["spoofed"] / "features.csv"}
+        kind = "epoch" if command in ("extract", "detect") else "feature"
+        bad = _rewrite_csv(good[kind], tmp_path / f"bad_{good[kind].name}", MALFORMED_ROWS[row])
+        out = str(tmp_path / "out")
+        argv = {"extract": ["extract", "--epochs", bad, "--out", out],
+                "detect": ["detect", "--epochs", bad, "--profile", profile, "--out", out],
+                "train": ["train", "--genuine", bad, "--out", out],
+                "eval": ["eval", "--profile", profile, "--genuine", str(good["feature"]),
+                         "--spoofed", bad, "--n", "1", "--out", out]}[command]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{bad}: malformed {kind} CSV" in err
+        # detect makes its output directory first, but writes no decisions
+        assert not os.path.exists(os.path.join(out, "decisions.csv") if command == "detect"
+                                  else out)
+
+    def test_header_only_epoch_csv_reads_as_no_epochs(self, tmp_path):
+        epochs = tmp_path / "epochs_prn07.csv"
+        cio.write_epochs_csv(np.zeros(0, EPOCH_DTYPE), epochs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["extract", "--epochs", str(epochs),
+                         "--out", str(tmp_path / "features.csv")]) == EXIT_OK
+        assert cio.read_features_csv(tmp_path / "features.csv").shape == (0,)
+
+    def test_quoted_cells_read_to_the_same_bits(self, pipeline_dir, tmp_path):
+        _, paths = pipeline_dir
+        (tmp_path / "quoted").mkdir()
+        for name in ("epochs_prn07.csv", "features.csv"):
+            _rewrite_csv(paths["genuine"] / name, tmp_path / "quoted" / name,
+                         quoting=csv.QUOTE_ALL)
+        quoted = cio.read_epochs_csv(tmp_path / "quoted" / "epochs_prn07.csv")
+        assert quoted.tobytes() == cio.read_epochs_csv(
+            paths["genuine"] / "epochs_prn07.csv").tobytes()
+        quoted = cio.read_features_csv(tmp_path / "quoted" / "features.csv")
+        assert quoted.tobytes() == cio.read_features_csv(
+            paths["genuine"] / "features.csv").tobytes()
+        assert main(["extract", "--epochs", str(tmp_path / "quoted" / "epochs_prn07.csv"),
+                     "--out", str(tmp_path / "features.csv")]) == EXIT_OK
+        assert ((tmp_path / "features.csv").read_bytes()
+                == (paths["genuine"] / "features.csv").read_bytes())
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [doc], "capture sidecar must be a JSON object"),
+        (lambda doc: {**doc, "gain": 2.0}, "unknown capture sidecar field 'gain'"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "sample_rate"}, "'sample_rate'"),
+        (lambda doc: {**doc, "sample_rate": "2048000.0"}, "field 'sample_rate' is not float"),
+        (lambda doc: {**doc, "sample_rate": True}, "field 'sample_rate' is not float"),
+        (lambda doc: {**doc, "iq_swap": 0}, "field 'iq_swap' is not bool"),
+        (lambda doc: {**doc, "t0": None}, "field 't0' is not float"),
+        (lambda doc: {**doc, "sample_rate": -1.0}, "sample_rate must be positive"),
+        (lambda doc: {**doc, "sample_rate": float("nan")}, "positive and finite"),
+        (lambda doc: {**doc, "sample_rate": float("inf")}, "positive and finite")],
+        ids=["list", "unknown_field", "no_sample_rate", "rate_string", "rate_bool",
+             "swap_int", "t0_null", "rate_negative", "rate_nan", "rate_inf"])
+    def test_malformed_sidecar_is_data_error(self, pipeline_dir, tmp_path, capsys, edit,
+                                             message):
+        _, paths = pipeline_dir
+        capture = tmp_path / "capture.iq"
+        os.symlink(paths["genuine"] / "capture.iq", capture)
+        sidecar = paths["genuine"] / "capture.iq.meta.json"
+        doc = edit(json.loads(sidecar.read_text()))
+        (tmp_path / "capture.iq.meta.json").write_text(json.dumps(doc))
+        assert main(["track", "--capture", str(capture), "--prn", "7",
+                     "--out", str(tmp_path / "out")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err and f"{capture}.meta.json" in err
+
+    def test_sidecar_of_another_version_is_data_error(self, pipeline_dir, tmp_path, capsys):
+        _, paths = pipeline_dir
+        capture = tmp_path / "capture.iq"
+        os.symlink(paths["genuine"] / "capture.iq", capture)
+        doc = json.loads((paths["genuine"] / "capture.iq.meta.json").read_text())
+        (tmp_path / "capture.iq.meta.json").write_text(json.dumps({**doc, "version": 2}))
+        assert main(["track", "--capture", str(capture), "--prn", "7",
+                     "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert "capture sidecar version 2 not supported" in capsys.readouterr().err
 
 
 TAKEOVER_PRNS = ["3", "7", "11", "19"]

@@ -4,9 +4,8 @@ from scipy import integrate
 from scipy.special import logsumexp
 
 from gnssfp import mvn_model
-from gnssfp.mvn_model import (density, fit, from_moments, log_density,
-                              log_mean_of_scores)
-from helpers import log_mean_oracle
+from gnssfp.mvn_model import fit, from_moments, log_density, log_mean_of_scores
+from helpers import density, log_mean_oracle
 
 
 def _model(mu, sigma):

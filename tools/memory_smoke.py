@@ -1,10 +1,11 @@
-"""Memory smoke check: peak RSS of `gnssfp simulate`, `track` and `detect`.
+"""Memory smoke check: peak RSS of `gnssfp simulate`, `track`, `extract` and `detect`.
 
     python tools/memory_smoke.py [--work DIR]
 
 Simulates the shipped 30 s replay_train_spoofed scenario (a 492 MB
-float32 capture), tracks PRN 13 of the capture and runs `detect --labels`
-on it with a genuine-only profile trained on the capture's own features,
+float32 capture), tracks PRN 13 of the capture, extracts the features of
+its 30,000-row epoch CSV and runs `detect --labels` on the capture with a
+genuine-only profile trained on those features,
 each in a child process, and reads each child's own peak RSS (`ru_maxrss`
 from `wait4`) and its minor page faults (`ru_minflt`), which are printed
 for information only: a step that allocates fresh pages for every block
@@ -16,7 +17,8 @@ peaks, not their sum). Exits 1 if any
 peak is above BOUND_MIB, about half of the replay capture decoded as
 complex64 (469 MiB): simulate must hold one block of the stream at a time,
 and track and detect one block of the capture per channel (detect also
-reads the labels file chunk by chunk).
+reads the labels file chunk by chunk); extract parses the epoch CSV in one
+np.loadtxt pass.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ def main() -> int:
         track = child_usage(["track", "--capture", capture, "--prn", str(PRN),
                              "--out", work])
         features, profile = os.path.join(work, "features.csv"), os.path.join(work, "profile.json")
-        child_usage(["extract", "--epochs", os.path.join(work, f"epochs_prn{PRN:02d}.csv"),
-                     "--out", features])
+        extract = child_usage(["extract", "--epochs",
+                               os.path.join(work, f"epochs_prn{PRN:02d}.csv"), "--out", features])
         child_usage(["train", "--genuine", features, "--out", profile])
         # 3: the profile's genuine-quantile threshold rejects some windows
         detect = child_usage(["detect", "--capture", capture, "--prn", str(PRN),
@@ -84,7 +86,7 @@ def main() -> int:
                                   *[arg for prn in TAKEOVER_PRNS for arg in ("--prn", str(prn))],
                                   "--jobs", "2", "--out", takeover])
 
-    checks = [("simulate", simulate), ("track", track), ("detect", detect),
+    checks = [("simulate", simulate), ("track", track), ("extract", extract), ("detect", detect),
               ("track 4 PRNs, --jobs 2", track_jobs)]
     for step, (peak, minflt) in checks:
         print(f"{step}: peak RSS {peak:.1f} MiB, bound {BOUND_MIB:.1f} MiB "
