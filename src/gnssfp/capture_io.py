@@ -195,11 +195,19 @@ def _from_json(cls, doc, where, what):
         raise FormatError(f"{where}: {what}: {exc}") from exc
 
 
+def _read_json(path, what):
+    """A JSON file's document; text that is not JSON is a FormatError naming the file."""
+    with open(str(path), encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: {what} is not valid JSON: {exc}") from exc
+
+
 def read_meta(path) -> CaptureMeta:
     """A capture's sidecar: JSON of CaptureMeta's fields, `format` and `version` 1."""
     where = sidecar_path(path)
-    with open(where, encoding="utf-8") as f:
-        raw = json.load(f)
+    raw = _read_json(where, "capture sidecar")
     if isinstance(raw, dict):
         raw = {key: value for key, value in raw.items() if key != "format"}
         version = raw.pop("version", 1)
@@ -254,6 +262,9 @@ def read_iq(path, meta: CaptureMeta | None = None, offset_samples: int = 0,
             for j0 in range(0, n_read, _CHUNK):
                 part = samples[j0:j0 + _CHUNK]
                 raw = np.fromfile(f, dtype=meta.dtype, count=2 * len(part))
+                if len(raw) != 2 * len(part):
+                    raise FormatError(f"{path}: payload ended before sample "
+                                      f"{offset_samples + n_read}")
                 part.real, part.imag = raw[first::2], raw[1 - first::2]
                 if meta.sample_format != "float32":
                     part /= np.float32(1 << (8 * width - 1))
@@ -366,8 +377,7 @@ def save_model(profile: DetectorProfile, path,
 
 
 def _read_profile(path) -> dict:
-    with open(str(path), encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = _read_json(path, "profile")
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} document")
     if doc.get("version") != MODEL_VERSION:

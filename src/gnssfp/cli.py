@@ -25,8 +25,8 @@ from .capture_io import (CaptureMeta, DatasetManifest, FormatError,
                          load_model, load_window_config)
 from .fingerprint_features import FeatureWindowConfig, extract_features, feature_matrix
 from .receiver_core import (EPOCH_DTYPE, LOCK_FAIL_BOTH, LOCK_FAIL_CARRIER,
-                            LOCK_FAIL_CODE, LOCK_PASS, TrackingConfig, TrackResult,
-                            acquire, acquisition_samples, lock_masks, track_channel)
+                            LOCK_FAIL_CODE, LOCK_PASS, TrackResult, acquire,
+                            acquisition_samples, lock_masks, track_channel)
 from .signal_sim import AttackConfig, HardwareSignature, IqStream, SatelliteScenario
 
 EXIT_OK = 0
@@ -57,6 +57,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{path}: expected a JSON object, got {value!r}")
+    return value
+
+
+def _array(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{path}: expected a JSON array, got {value!r}")
+    return value
+
+
 def _get(doc: dict, key: str, path: str, required: bool = False, default=None):
     if key not in doc:
         if required:
@@ -66,23 +78,26 @@ def _get(doc: dict, key: str, path: str, required: bool = False, default=None):
 
 
 def _signature_from(doc: dict, path: str) -> HardwareSignature:
+    doc = _object(doc, path)
     try:
         return HardwareSignature(
             gain_asymmetry=float(_get(doc, "gain_asymmetry", path, default=1.0)),
             filter_taps=tuple(_get(doc, "filter_taps", path, default=(1.0,))),
             phase_noise_std=float(_get(doc, "phase_noise_std", path, default=0.0)))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def load_scenario(path: str) -> dict:
     """Parse and validate a scenario config file into ready-to-run objects."""
     with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+        doc = _object(json.load(f), "scenario")
 
     sats = []
-    for i, sat in enumerate(_get(doc, "satellites", "scenario", required=True)):
+    for i, sat in enumerate(_array(_get(doc, "satellites", "scenario", required=True),
+                                   "satellites")):
         spath = f"satellites[{i}]"
+        sat = _object(sat, spath)
         try:
             sats.append(SatelliteScenario(
                 prn=int(_get(sat, "prn", spath, required=True)),
@@ -94,15 +109,17 @@ def load_scenario(path: str) -> dict:
                 signature=_signature_from(sat.get("signature", {}), f"{spath}.signature")))
         except ScenarioError:
             raise
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{spath}: {exc}") from exc
     prns = [s.prn for s in sats]
     if len(set(prns)) != len(prns):
         raise ScenarioError(f"satellites: duplicate PRNs {sorted(prns)}")
 
-    attack = None
-    if doc.get("attack"):
-        a = doc["attack"]
+    attack = attack_targets = None
+    if doc.get("attack"):  # absent, null or {}: no attack
+        a = _object(doc["attack"], "attack")
+        if a.get("targets") is not None:  # null or absent: every satellite
+            attack_targets = _array(a["targets"], "attack.targets")
         try:
             attack = AttackConfig(
                 mode=_get(a, "mode", "attack", required=True),
@@ -115,15 +132,15 @@ def load_scenario(path: str) -> dict:
                 attack_seed=int(_get(a, "attack_seed", "attack", default=0)))
         except ScenarioError:
             raise
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ScenarioError(f"attack: {exc}") from exc
 
-    pipeline = doc.get("pipeline", {})
+    pipeline = _object(doc.get("pipeline", {}), "pipeline")
     try:
         window = FeatureWindowConfig(
-            window_len=int(pipeline.get("window_len", 40)),
-            min_pos=int(pipeline.get("min_pos", 3)),
-            min_neg=int(pipeline.get("min_neg", 3)))
+            window_len=int(pipeline.get("window_len", FeatureWindowConfig.window_len)),
+            min_pos=int(pipeline.get("min_pos", FeatureWindowConfig.min_pos)),
+            min_neg=int(pipeline.get("min_neg", FeatureWindowConfig.min_neg)))
     except ValueError as exc:
         raise ScenarioError(f"pipeline: {exc}") from exc
 
@@ -133,6 +150,15 @@ def load_scenario(path: str) -> dict:
     except ValueError as exc:
         raise ScenarioError(f"scenario.sample_rate: {exc}") from exc
 
+    multipath = []
+    for i, row in enumerate(_array(doc.get("multipath", []), "multipath")):
+        try:
+            delay, g_re, g_im = row
+            multipath.append((float(delay), complex(g_re, g_im)))
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"multipath[{i}]: expected [delay, gain_re, gain_im], "
+                                f"got {row!r}") from exc
+
     return {
         "sample_rate": sample_rate,
         "duration": float(_get(doc, "duration", "scenario", required=True)),
@@ -141,11 +167,10 @@ def load_scenario(path: str) -> dict:
         "add_noise": bool(doc.get("add_noise", True)),
         "satellites": sats,
         "attack": attack,
-        "attack_targets": doc.get("attack", {}).get("targets"),
-        "multipath": [(float(d), complex(g_re, g_im))
-                      for d, g_re, g_im in doc.get("multipath", [])],
+        "attack_targets": attack_targets,
+        "multipath": multipath,
         "window": window,
-        "meta": doc.get("meta", {}),
+        "meta": _object(doc.get("meta", {}), "meta"),
     }
 
 
@@ -215,7 +240,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _track_prns(capture: str, meta: CaptureMeta, args, trk_cfg: TrackingConfig) -> list:
+def _track_prns(capture: str, meta: CaptureMeta, args) -> list:
     """Acquire and track each requested PRN of a capture, `args.jobs` processes at most.
 
     Every PRN is acquired on the one head of the capture that `acquire`
@@ -238,11 +263,11 @@ def _track_prns(capture: str, meta: CaptureMeta, args, trk_cfg: TrackingConfig) 
             for share in shares[1:]:
                 receiver, sender = ctx.Pipe(duplex=False)
                 proc = ctx.Process(target=_share_worker, daemon=True,
-                                   args=(sender, capture, meta, head, share, args, trk_cfg))
+                                   args=(sender, capture, meta, head, share, args))
                 proc.start()
                 sender.close()  # so a worker that dies leaves the receiver at EOF
                 workers.append((proc, receiver, share))
-        results = _track_share(capture, meta, head, shares[0], args, trk_cfg)
+        results = _track_share(capture, meta, head, shares[0], args)
         for proc, receiver, share in workers:
             results += _share_results(proc, receiver, share)
     except BaseException:
@@ -256,15 +281,13 @@ def _track_prns(capture: str, meta: CaptureMeta, args, trk_cfg: TrackingConfig) 
     return sorted(results, key=lambda result: result[0])
 
 
-def _track_share(capture: str, meta: CaptureMeta, head: IqStream, prns: list, args,
-                 trk_cfg: TrackingConfig) -> list:
+def _track_share(capture: str, meta: CaptureMeta, head: IqStream, prns: list, args) -> list:
     """Acquire each PRN of one share on the head and track it from the capture."""
     results = []
     for prn in prns:
         acq = acquire(head, prn, doppler_range=args.doppler_range,
                       doppler_bin=args.doppler_bin)
-        track = (track_channel(capture_io.iq_blocks(capture, meta), acq, trk_cfg)
-                 if acq.acquired else None)
+        track = track_channel(capture_io.iq_blocks(capture, meta), acq) if acq.acquired else None
         results.append((prn, track, acq))
     return results
 
@@ -298,7 +321,7 @@ def _channel_record(prn: int, track, acq) -> dict:
     """Run-record entry of one requested PRN. The peak metric is null when
     infinite or, for epochs read from a CSV (no `acq`), unknown."""
     epochs = track.epochs if track else np.zeros(0, dtype=EPOCH_DTYPE)
-    code_ok, carrier_ok = lock_masks(epochs, TrackingConfig())
+    code_ok, carrier_ok = lock_masks(epochs)
     return {"prn": prn, "epochs": len(epochs),
             "status": track.status if track else "not_acquired",
             "peak_metric": (acq.peak_metric if acq and np.isfinite(acq.peak_metric)
@@ -319,7 +342,7 @@ def _channels_record(capture, results) -> dict:
 def cmd_track(args) -> int:
     meta = capture_io.read_meta(args.capture)
     os.makedirs(args.out, exist_ok=True)
-    results = _track_prns(args.capture, meta, args, TrackingConfig())
+    results = _track_prns(args.capture, meta, args)
 
     any_tracked = False
     for prn, track, acq_result in results:
@@ -356,11 +379,10 @@ def _window_config(args) -> FeatureWindowConfig:
 
 def cmd_extract(args) -> int:
     window = _window_config(args)
-    trk_cfg = TrackingConfig()
     parts = []
     for path in args.epochs:
         epochs = capture_io.read_epochs_csv(path)
-        feats = extract_features(epochs, window, trk_cfg, prn=_epoch_file_prn(path))
+        feats = extract_features(epochs, window, prn=_epoch_file_prn(path))
         print(f"{path}: {len(epochs)} epochs -> {len(feats)} sample points")
         parts.append(feats)
     all_features = np.concatenate(parts)
@@ -434,7 +456,6 @@ def cmd_detect(args) -> int:
         raise ScenarioError("detect needs --capture with --prn, or --epochs")
     profile = load_model(args.profile)
     window = load_window_config(args.profile)
-    trk_cfg = TrackingConfig()
     os.makedirs(args.out, exist_ok=True)
 
     label_ivs = []  # without --labels every decision's label stays "unknown"
@@ -450,7 +471,7 @@ def cmd_detect(args) -> int:
             runs = capture_io.load_label_runs(args.labels,
                                               capture_io.capture_length(args.capture, meta))
             label_ivs = signal_sim.label_intervals(runs, meta.sample_rate, meta.t0)
-        results = _track_prns(args.capture, meta, args, trk_cfg)
+        results = _track_prns(args.capture, meta, args)
     _write_run_record(args.out, "detect", None, _channels_record(args.capture, results))
 
     decisions_by_prn = {}
@@ -459,7 +480,7 @@ def cmd_detect(args) -> int:
             print(f"PRN {prn:2d}: not acquired", file=sys.stderr)
             continue
         decisions_by_prn[prn] = spoof_detector.annotate_decisions(
-            spoof_detector.detect_stream(track.epochs, profile, window, trk_cfg, prn=prn),
+            spoof_detector.detect_stream(track.epochs, profile, window, prn=prn),
             label_ivs)
 
     all_decisions = sorted((d for ds in decisions_by_prn.values() for d in ds),
@@ -498,9 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="processes that track the PRNs, capped by the number of PRNs and "
              "the usable CPUs; 1 tracks them all in this process")
     window = argparse.ArgumentParser(add_help=False)
-    window.add_argument("--window-len", type=int, default=40)
-    window.add_argument("--min-pos", type=int, default=3)
-    window.add_argument("--min-neg", type=int, default=3)
+    window.add_argument("--window-len", type=int, default=FeatureWindowConfig.window_len)
+    window.add_argument("--min-pos", type=int, default=FeatureWindowConfig.min_pos)
+    window.add_argument("--min-neg", type=int, default=FeatureWindowConfig.min_neg)
     training = argparse.ArgumentParser(add_help=False)
     training.add_argument("--holdout", type=float, default=0.3)
     training.add_argument("--seed", type=int, default=0)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .receiver_core import TrackingConfig, lock_masks
+from .receiver_core import lock_masks
 
 
 # One sample point per record, laid out as the feature CSV's columns: window
@@ -38,7 +38,7 @@ def feature_matrix(features) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureWindowConfig:
-    window_len: int = 20  # epochs per sample point (one nav bit at 1 ms)
+    window_len: int = 40  # epochs per sample point (two nav bits at 1 ms)
     min_pos: int = 3  # required positive real-prompt epochs per window
     min_neg: int = 3
 
@@ -64,7 +64,6 @@ def _sign_split_mean(values: np.ndarray) -> tuple[float, float]:
 
 
 def extract_features(epochs, cfg: FeatureWindowConfig = FeatureWindowConfig(),
-                     trk: TrackingConfig = TrackingConfig(),
                      prn: int = 0) -> np.recarray:
     """Lock-filter epochs and emit one FEATURE_DTYPE record per surviving window.
 
@@ -72,7 +71,7 @@ def extract_features(epochs, cfg: FeatureWindowConfig = FeatureWindowConfig(),
     fewer than min_pos positive or min_neg negative real-prompt epochs are
     skipped.
     """
-    code_ok, carrier_ok = lock_masks(epochs, trk)
+    code_ok, carrier_ok = lock_masks(epochs)
     kept = epochs[code_ok & carrier_ok]
     n_win = len(kept) // cfg.window_len
     rows = kept[:n_win * cfg.window_len].reshape(n_win, cfg.window_len)

@@ -13,9 +13,12 @@ and leaves the imaginary part near zero. Code tracking uses a normalized
 non-coherent early-minus-late discriminator, carrier tracking a Costas
 atan discriminator, both through first-order (PI) loop filters.
 
-Two lock tests gate every epoch: the C/N0 test (estimate >= gamma_code,
-default 32 dB-Hz) and the carrier lock test on the estimate of
-cos(2*dphi) (>= gamma_carrier, default 0.5).
+The receiver settings are module constants, read when a function is
+called: INTEGRATION_TIME (1 ms epochs), _EL_SPACING (0.5 chip between the
+early and late replicas) and the loop bandwidths _DLL_BANDWIDTH (2 Hz) and
+_PLL_BANDWIDTH (25 Hz). Two lock tests gate every epoch: the C/N0 test
+(estimate >= _GAMMA_CODE, 32 dB-Hz) and the carrier lock test on the
+estimate of cos(2*dphi) (>= _GAMMA_CARRIER, 0.5).
 """
 
 from __future__ import annotations
@@ -35,28 +38,18 @@ LOCK_FAIL_CODE = "fail_code"
 LOCK_FAIL_CARRIER = "fail_carrier"
 LOCK_FAIL_BOTH = "fail_both"
 
+INTEGRATION_TIME = 1e-3  # s, one epoch
+_EL_SPACING = 0.5  # chips between early and late replicas
+_DLL_BANDWIDTH = 2.0  # Hz
+_PLL_BANDWIDTH = 25.0  # Hz
+_GAMMA_CODE = 32.0  # dB-Hz, C/N0 lock threshold
+_GAMMA_CARRIER = 0.5  # threshold on the cos(2*dphi) estimate
 _LOSS_OF_LOCK_EPOCHS = 50  # consecutive code-test failures before giving up
 _LOCK_WINDOW = 20  # epochs feeding the C/N0 and carrier-lock estimators
 _LOCK_BLOCK = 64  # epochs whose lock estimates track_channel computes at once
 _ACQ_THRESHOLD = 2.0  # peak-to-second-peak metric that declares a PRN acquired
 _ACQ_PERIODS = 8  # code periods summed non-coherently per Doppler bin
 _REFINE_PERIODS = 16  # code periods whose phase ramp refines the Doppler
-
-
-@dataclass(frozen=True)
-class TrackingConfig:
-    integration_time: float = 1e-3  # s
-    el_spacing: float = 0.5  # chips between early and late replicas
-    dll_bandwidth: float = 2.0  # Hz
-    pll_bandwidth: float = 25.0  # Hz
-    gamma_code: float = 32.0  # dB-Hz, C/N0 lock threshold
-    gamma_carrier: float = 0.5  # threshold on the cos(2*dphi) estimate
-
-    def __post_init__(self):
-        if not 0 < self.el_spacing <= 1:
-            raise ValueError(f"el_spacing must be in (0, 1], got {self.el_spacing}")
-        if self.dll_bandwidth <= 0 or self.pll_bandwidth <= 0:
-            raise ValueError("loop bandwidths must be positive")
 
 
 @dataclass(frozen=True)
@@ -197,8 +190,7 @@ def _loop_coefficients(bandwidth: float, damping: float, gain: float):
     return tau1, tau2
 
 
-def track_channel(blocks, init: AcquisitionResult,
-                  cfg: TrackingConfig = TrackingConfig()) -> TrackResult:
+def track_channel(blocks, init: AcquisitionResult) -> TrackResult:
     """Run the DLL/PLL channel over a stream, one epoch per record.
 
     `blocks` is an IqStream, or consecutive IqStream blocks of one stream
@@ -206,8 +198,8 @@ def track_channel(blocks, init: AcquisitionResult,
     the global epoch index and the samples of an epoch that straddles a
     block edge carry from block to block, so any split of the stream gives
     the same epochs bit for bit, and blocks are read only as far as
-    tracking goes. Returns one EPOCH_DTYPE record per integration_time,
-    timestamped t0 + k * integration_time from the first block's t0.
+    tracking goes. Returns one EPOCH_DTYPE record per INTEGRATION_TIME,
+    timestamped t0 + k * INTEGRATION_TIME from the first block's t0.
     Terminates early with a loss-of-lock status when the C/N0 test fails 50
     epochs in a row (after warm-up).
     """
@@ -222,17 +214,17 @@ def track_channel(blocks, init: AcquisitionResult,
         return TrackResult(prn=init.prn, status=STATUS_COMPLETED,
                            epochs=np.zeros(0, dtype=EPOCH_DTYPE).view(np.recarray))
     fs, t0 = block.sample_rate, block.t0
-    n_epoch = int(round(fs * cfg.integration_time))
+    T = INTEGRATION_TIME
+    n_epoch = int(round(fs * T))
 
     # The initial code phase, one epoch of code and a spare period, so the
     # replica gathers index without a modulo (three periods at 1 ms).
     periods = 2 + int(np.ceil(n_epoch * CHIP_RATE / fs / CODE_LENGTH))
     chips = np.tile(generate_ca_code(init.prn).chips.astype(np.float64), periods)
-    half = cfg.el_spacing / 2.0
+    half = _EL_SPACING / 2.0
 
-    tau1_d, tau2_d = _loop_coefficients(cfg.dll_bandwidth, 0.707, 1.0)
-    tau1_c, tau2_c = _loop_coefficients(cfg.pll_bandwidth, 0.707, 0.25)
-    T = cfg.integration_time
+    tau1_d, tau2_d = _loop_coefficients(_DLL_BANDWIDTH, 0.707, 1.0)
+    tau1_c, tau2_c = _loop_coefficients(_PLL_BANDWIDTH, 0.707, 0.25)
 
     code_phase = init.code_phase
     code_freq = CHIP_RATE
@@ -292,7 +284,7 @@ def track_channel(blocks, init: AcquisitionResult,
             # epoch-by-epoch check.
             if k + 1 - lock_from == _LOCK_BLOCK:
                 code_fail_run, lost_at = _fill_lock_estimates(epochs, lock_from, k + 1,
-                                                              cfg, code_fail_run)
+                                                              code_fail_run)
                 if lost_at is not None:
                     break
                 lock_from = k + 1
@@ -303,7 +295,7 @@ def track_channel(blocks, init: AcquisitionResult,
         block = samples = None
         block = next(blocks, None)
     else:
-        _, lost_at = _fill_lock_estimates(epochs, lock_from, n_epochs, cfg, code_fail_run)
+        _, lost_at = _fill_lock_estimates(epochs, lock_from, n_epochs, code_fail_run)
 
     status = STATUS_COMPLETED if lost_at is None else STATUS_LOSS_OF_LOCK
     epochs.resize(n_epochs if lost_at is None else lost_at + 1, refcheck=False)
@@ -345,19 +337,17 @@ def _correlate(blk: np.ndarray, chips: np.ndarray, i_arr: np.ndarray, half: floa
     return complex(xr @ ce, xi @ ce), complex(xr @ cp, xi @ cp), complex(xr @ cl, xi @ cl)
 
 
-def _fill_lock_estimates(epochs: np.ndarray, start: int, stop: int, cfg: TrackingConfig,
-                         code_fail_run: int):
+def _fill_lock_estimates(epochs: np.ndarray, start: int, stop: int, code_fail_run: int):
     """Fill the lock estimates of epochs start..stop-1 in place and carry the
     run of C/N0 test failures through them.
 
     Returns the run and the epoch at which it reaches _LOSS_OF_LOCK_EPOCHS,
     or None while the channel keeps lock.
     """
-    cn0, clt = _lock_estimates(epochs["p"][_ring_windows(start, stop)],
-                               cfg.integration_time)
+    cn0, clt = _lock_estimates(epochs["p"][_ring_windows(start, stop)], INTEGRATION_TIME)
     epochs["cn0_est"][start:stop] = cn0
     epochs["clt_est"][start:stop] = clt
-    for j, failed in enumerate((cn0 < cfg.gamma_code).tolist(), start=start):
+    for j, failed in enumerate((cn0 < _GAMMA_CODE).tolist(), start=start):
         code_fail_run = code_fail_run + 1 if failed else 0
         if code_fail_run >= _LOSS_OF_LOCK_EPOCHS:
             return code_fail_run, j
@@ -410,10 +400,10 @@ def _lock_estimates(prompts: np.ndarray, integration_time: float):
             np.where(powered, (sq_i - sq_q) / wide, 0.0)[()])
 
 
-def lock_masks(epochs: np.ndarray, cfg: TrackingConfig = TrackingConfig()):
+def lock_masks(epochs: np.ndarray):
     """Code (C/N0) and carrier (cos 2*dphi) lock tests over an epoch array.
 
     Returns the (code_ok, carrier_ok) boolean arrays; both thresholds are
     inclusive.
     """
-    return epochs["cn0_est"] >= cfg.gamma_code, epochs["clt_est"] >= cfg.gamma_carrier
+    return epochs["cn0_est"] >= _GAMMA_CODE, epochs["clt_est"] >= _GAMMA_CARRIER

@@ -19,10 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import mvn_model
+from . import mvn_model, receiver_core
 from .fingerprint_features import FeatureWindowConfig, extract_features, feature_matrix
 from .mvn_model import MvnModel
-from .receiver_core import TrackingConfig
 
 logger = logging.getLogger(__name__)
 
@@ -233,7 +232,6 @@ def kfold_xval(datasets, holdout_fraction: float = 0.3, seed: int = 0,
 
 def detect_stream(epochs: np.ndarray, profile: DetectorProfile,
                   window_cfg: FeatureWindowConfig = FeatureWindowConfig(),
-                  trk_cfg: TrackingConfig = TrackingConfig(),
                   prn: int = 0) -> list[Decision]:
     """Streaming detection over one channel's EPOCH_DTYPE correlator epochs.
 
@@ -242,13 +240,14 @@ def detect_stream(epochs: np.ndarray, profile: DetectorProfile,
     sample point yields a decision once the block is full: Authentic iff the
     block's log-sum-exp mean score is strictly greater than the threshold.
     """
-    feats = extract_features(epochs, window_cfg, trk_cfg, prn=prn)
+    feats = extract_features(epochs, window_cfg, prn=prn)
     n = profile.n_avg
     if len(feats) < n:
         return []
     scores = score_features(feature_matrix(feats), profile.model)
     mean_log = mvn_model.log_mean_of_scores(np.lib.stride_tricks.sliding_window_view(scores, n))
-    t_start = feats.t[:len(feats) - n + 1] - window_cfg.window_len * trk_cfg.integration_time
+    t_start = (feats.t[:len(feats) - n + 1]
+               - window_cfg.window_len * receiver_core.INTEGRATION_TIME)
     return [Decision(t_start=t0, t_end=t1, prn=prn, log_score=score,
                      decision=(DECISION_AUTHENTIC if score > profile.log_threshold
                                else DECISION_MALICIOUS))

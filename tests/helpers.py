@@ -140,15 +140,15 @@ def epoch_array(**columns):
     return out
 
 
-def extract_features_oracle(epochs, cfg, trk=rc.TrackingConfig(), prn=0):
-    """Per-epoch feature extraction: test each epoch's lock metrics, buffer
-    the passing ones and close a window every cfg.window_len of them.
-    Returns a FEATURE_DTYPE array."""
+def extract_features_oracle(epochs, cfg, prn=0, *, gamma_code=32.0, gamma_carrier=0.5):
+    """Per-epoch feature extraction: test each epoch's lock metrics against
+    the thresholds, buffer the passing ones and close a window every
+    cfg.window_len of them. Returns a FEATURE_DTYPE array."""
     out = []
     buf_e, buf_p, buf_l = (np.empty(cfg.window_len) for _ in range(3))
     fill = 0
     for ep in epochs:
-        if not (ep.cn0_est >= trk.gamma_code and ep.clt_est >= trk.gamma_carrier):
+        if not (ep.cn0_est >= gamma_code and ep.clt_est >= gamma_carrier):
             continue
         buf_e[fill], buf_p[fill], buf_l[fill] = ep.e.real, ep.p.real, ep.l.real
         fill += 1
@@ -571,19 +571,21 @@ def _lock_estimates_oracle(prompts, integration_time):
     return float(10.0 * np.log10(snr / integration_time)), float((sq_i - sq_q) / wide)
 
 
-def track_channel_oracle(iq, init, cfg=rc.TrackingConfig()):
-    """rc.track_channel with np.mod code indices and a lock check per epoch.
+def track_channel_oracle(iq, init, *, integration_time=1e-3, el_spacing=0.5,
+                         dll_bandwidth=2.0, pll_bandwidth=25.0, gamma_code=32.0):
+    """rc.track_channel with np.mod code indices and a lock check per epoch,
+    for the receiver settings given (the defaults are the receiver's).
 
     Returns (status, EPOCH_DTYPE array).
     """
     fs = iq.sample_rate
-    n_epoch = int(round(fs * cfg.integration_time))
+    T = integration_time
+    n_epoch = int(round(fs * T))
     n_epochs_total = len(iq.samples) // n_epoch
     chips = generate_ca_code(init.prn).chips.astype(np.float64)
-    half = cfg.el_spacing / 2.0
-    tau1_d, tau2_d = rc._loop_coefficients(cfg.dll_bandwidth, 0.707, 1.0)
-    tau1_c, tau2_c = rc._loop_coefficients(cfg.pll_bandwidth, 0.707, 0.25)
-    T = cfg.integration_time
+    half = el_spacing / 2.0
+    tau1_d, tau2_d = rc._loop_coefficients(dll_bandwidth, 0.707, 1.0)
+    tau1_c, tau2_c = rc._loop_coefficients(pll_bandwidth, 0.707, 0.25)
 
     code_phase = init.code_phase
     code_freq = CHIP_RATE
@@ -641,7 +643,7 @@ def track_channel_oracle(iq, init, cfg=rc.TrackingConfig()):
         epochs[k] = (t_k, e, p, l, cn0, clt, epoch_code_phase, epoch_doppler)
 
         if k >= rc._LOCK_WINDOW - 1:
-            code_fail_run = code_fail_run + 1 if cn0 < cfg.gamma_code else 0
+            code_fail_run = code_fail_run + 1 if cn0 < gamma_code else 0
             if code_fail_run >= rc._LOSS_OF_LOCK_EPOCHS:
                 status = rc.STATUS_LOSS_OF_LOCK
                 epochs = epochs[:k + 1]

@@ -152,7 +152,9 @@ def test_criterion_04_tracking_convergence():
 # --------------------------------------------------------------------- 5
 
 
-def test_criterion_05_lock_test_thresholds():
+def test_criterion_05_lock_test_thresholds(monkeypatch):
+    # keep the channel alive past code-test failures to measure the estimator
+    monkeypatch.setattr(rc, "_GAMMA_CODE", 0.0)
     results = {}
     for cn0 in (28.0, 40.0):
         scen = ss.SatelliteScenario(prn=5, doppler=-800.0, code_phase0=101.3,
@@ -160,9 +162,7 @@ def test_criterion_05_lock_test_thresholds():
         iq = ss.synthesize_genuine([scen], duration=4.0, noise_seed=11)
         oracle = helpers.despread_cn0_oracle(iq, scen, n_epochs=2000)
         assert oracle == pytest.approx(cn0, abs=0.5)  # synthesis sanity
-        # keep the channel alive past code-test failures to measure the estimator
-        track = rc.track_channel(iq, helpers.truth_init(5, 101.3, -800.0),
-                                 rc.TrackingConfig(gamma_code=0.0))
+        track = rc.track_channel(iq, helpers.truth_init(5, 101.3, -800.0))
         est = np.array([e.cn0_est for e in track.epochs[100:]])
         assert est.mean() == pytest.approx(oracle, abs=2.0)  # estimator vs oracle
         results[cn0] = (oracle, est.mean(), np.mean(est >= 32.0))

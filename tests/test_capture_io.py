@@ -165,12 +165,25 @@ class TestIqRoundTrip:
             out = cio.read_iq(path, meta, offset_samples=offset, count=count)
             assert out.samples.tobytes() == expected.tobytes(), (offset, count)
 
-    def test_payload_that_ends_early_is_a_format_error(self, tmp_path, monkeypatch):
-        meta = cio.CaptureMeta(sample_rate=1e6, sample_format="float32")
+    @staticmethod
+    def _read_past_the_end(tmp_path, monkeypatch, meta):
         cio.write_iq(IqStream(np.zeros(10, np.complex64), 1e6), tmp_path / "c.iq", meta)
         monkeypatch.setattr(cio, "capture_length", lambda path, meta: 12)  # the file shrank
         with pytest.raises(cio.FormatError, match="payload ended before sample 12"):
             cio.read_iq(tmp_path / "c.iq", meta, offset_samples=2)
+
+    def test_payload_that_ends_early_is_a_format_error(self, tmp_path, monkeypatch):
+        # a native float32 payload is read in one call
+        meta = cio.CaptureMeta(sample_rate=1e6, sample_format="float32")
+        self._read_past_the_end(tmp_path, monkeypatch, meta)
+
+    @pytest.mark.parametrize("fmt, swap", [("int8", False), ("int16", False), ("float32", True)],
+                             ids=["int8", "int16", "float32_swapped"])
+    def test_chunked_payload_that_ends_early_is_a_format_error(self, tmp_path, monkeypatch,
+                                                                fmt, swap):
+        # every other payload is decoded chunk by chunk
+        meta = cio.CaptureMeta(sample_rate=1e6, sample_format=fmt, iq_swap=swap)
+        self._read_past_the_end(tmp_path, monkeypatch, meta)
 
     def test_append_names_the_index_in_the_file(self, tmp_path):
         meta = cio.CaptureMeta(sample_rate=1e6, sample_format="int16")
@@ -333,7 +346,7 @@ class TestModelFile:
     def test_bit_exact_round_trip(self, tmp_path):
         profile = self._profile()
         cio.save_model(profile, tmp_path / "p.json",
-                       window=FeatureWindowConfig(window_len=40))
+                       window=FeatureWindowConfig(window_len=25))
         back = cio.load_model(tmp_path / "p.json")
         assert back.log_threshold == profile.log_threshold
         assert np.array_equal(back.model.sigma, profile.model.sigma)
@@ -341,7 +354,7 @@ class TestModelFile:
         assert back.n_avg == 7
         assert back.trained_on == ("a.csv", "b.csv")
         assert back.train_eer == 0.0125
-        assert cio.load_window_config(tmp_path / "p.json").window_len == 40
+        assert cio.load_window_config(tmp_path / "p.json").window_len == 25
 
     def test_neg_inf_threshold_round_trip(self, tmp_path):
         profile = self._profile(threshold=float("-inf"))

@@ -20,6 +20,7 @@ from gnssfp import cli
 from gnssfp import signal_sim as ss
 from gnssfp.cli import (EXIT_ALARM, EXIT_DATA, EXIT_OK, EXIT_USAGE, ScenarioError,
                         build_parser, load_scenario, main)
+from gnssfp.fingerprint_features import FeatureWindowConfig
 from gnssfp.receiver_core import EPOCH_DTYPE
 from helpers import build_stream, load_manifest, read_decisions_csv, stream_oracle
 
@@ -134,6 +135,42 @@ class TestScenarioLoading:
         assert main(["simulate", "--scenario", scen, "--out", str(out)]) == EXIT_USAGE
         assert "pipeline" in capsys.readouterr().err
         assert not (out / "capture.iq").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: {**doc, "satellites": [5]}, r"satellites\[0\]: expected a JSON object"),
+        (lambda doc: {**doc, "satellites": [{**doc["satellites"][0], "signature": None}]},
+         r"satellites\[0\]\.signature: expected a JSON object"),
+        (lambda doc: {**doc, "satellites": [{**doc["satellites"][0], "doppler": None}]},
+         r"satellites\[0\]: float\(\) argument"),
+        (lambda doc: {**doc, "multipath": [[0.5, 0.1]]}, r"multipath\[0\]: expected \[delay"),
+        (lambda doc: {**doc, "multipath": [[0.5, 0.1, 0.0], 7]}, r"multipath\[1\]: expected"),
+        (lambda doc: {**doc, "attack": [1]}, "attack: expected a JSON object"),
+        (lambda doc: [doc], "scenario: expected a JSON object"),
+        (lambda doc: {**doc, "satellites": 5}, "satellites: expected a JSON array"),
+        (lambda doc: {**doc, "multipath": None}, "multipath: expected a JSON array"),
+        (lambda doc: {**doc, "pipeline": None}, "pipeline: expected a JSON object"),
+        (lambda doc: {**doc, "meta": None}, "meta: expected a JSON object"),
+        (lambda doc: {**doc, "attack": {"mode": "spoofing", "targets": 7}},
+         r"attack\.targets: expected a JSON array")],
+        ids=["satellite_number", "signature_null", "doppler_null", "multipath_short",
+             "multipath_number", "attack_list", "scenario_list", "satellites_number",
+             "multipath_null", "pipeline_null", "meta_null", "targets_number"])
+    def test_malformed_shape_exits_before_output(self, tmp_path, capsys, edit, message):
+        scen = write_scenario(tmp_path / "shape.json", edit(tiny_scenario(duration=0.1)))
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(scen)
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", scen, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "capture.iq").exists()
+
+    def test_null_attack_is_no_attack(self, tmp_path):
+        scen = write_scenario(tmp_path / "null.json", {**tiny_scenario(duration=0.1),
+                                                       "attack": None})
+        cfg = load_scenario(scen)
+        assert cfg["attack"] is None and cfg["attack_targets"] is None
+        assert main(["simulate", "--scenario", scen, "--out", str(tmp_path)]) == EXIT_OK
+        assert load_manifest(tmp_path / "manifest.json").role == "genuine"
 
     def test_duplicate_prn_exits_before_output(self, tmp_path):
         doc = tiny_scenario()
@@ -676,6 +713,29 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert message in err and f"{capture}.meta.json" in err
 
+    @pytest.mark.parametrize("command", ["track", "detect", "eval"])
+    def test_truncated_json_is_data_error(self, pipeline_dir, profile, tmp_path, capsys,
+                                          command):
+        _, paths = pipeline_dir
+        out = str(tmp_path / "out")
+        features = str(paths["genuine"] / "features.csv")
+        if command == "track":
+            capture = tmp_path / "capture.iq"
+            os.symlink(paths["genuine"] / "capture.iq", capture)
+            broken, what = tmp_path / "capture.iq.meta.json", "capture sidecar"
+            text = (paths["genuine"] / "capture.iq.meta.json").read_text()
+        else:
+            broken, what = tmp_path / "profile.json", "profile"
+            text = broken.read_text()
+        broken.write_text(text[:len(text) // 2])
+        argv = {"track": ["track", "--capture", str(tmp_path / "capture.iq"), "--prn", "7"],
+                "detect": ["detect", "--epochs", str(paths["genuine"] / "epochs_prn07.csv"),
+                           "--profile", profile],
+                "eval": ["eval", "--profile", profile, "--genuine", features,
+                         "--spoofed", features]}[command]
+        assert main(argv + ["--out", out]) == EXIT_DATA
+        assert f"data error: {broken}: {what} is not valid JSON" in capsys.readouterr().err
+
     def test_sidecar_of_another_version_is_data_error(self, pipeline_dir, tmp_path, capsys):
         _, paths = pipeline_dir
         capture = tmp_path / "capture.iq"
@@ -722,10 +782,10 @@ def forks(monkeypatch):
 
 def _in_worker(parent_pid, prn, real, failure):
     """track_channel that fails with `failure()` for `prn`, in a worker only."""
-    def track_channel(blocks, init, cfg):
+    def track_channel(blocks, init):
         if init.prn == prn and os.getpid() != parent_pid:
             failure()
-        return real(blocks, init, cfg)
+        return real(blocks, init)
     return track_channel
 
 
@@ -830,10 +890,10 @@ class TestParallelTracking:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         real = cli.track_channel
 
-        def failing_here(blocks, init, cfg):
+        def failing_here(blocks, init):
             if init.prn == 3:
                 raise ValueError("PRN 3 failed here")
-            return real(blocks, init, cfg)
+            return real(blocks, init)
 
         monkeypatch.setattr(cli, "track_channel", failing_here)
         code = main(["detect", "--capture", str(takeover_dir / "capture.iq"),
@@ -894,6 +954,17 @@ def test_parser_flags_and_defaults(monkeypatch):
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args([command] + partial)
             assert exc.value.code == EXIT_USAGE, (command, flag)
+
+
+def test_window_defaults_are_the_dataclass_defaults(tmp_path):
+    # the library default, a scenario without a pipeline block and the flags agree
+    assert FeatureWindowConfig() == FeatureWindowConfig(window_len=40, min_pos=3, min_neg=3)
+    doc = tiny_scenario(duration=0.1)
+    del doc["pipeline"]
+    scenario = load_scenario(write_scenario(tmp_path / "s.json", doc))
+    assert scenario["window"] == FeatureWindowConfig()
+    args = build_parser().parse_args(["extract", "--epochs", "e.csv", "--out", "f.csv"])
+    assert cli._window_config(args) == FeatureWindowConfig()
 
 
 def test_cli_imports_no_scipy():

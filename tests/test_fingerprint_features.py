@@ -64,7 +64,7 @@ class TestExtractFeatures:
     def test_sign_contract_on_noisy_epochs(self):
         rng = np.random.default_rng(3)
         epochs = epochs_from(rng.normal(0, 5, size=400))
-        out = ff.extract_features(epochs, ff.FeatureWindowConfig())
+        out = ff.extract_features(epochs, ff.FeatureWindowConfig(window_len=20))
         assert len(out)
         matrix = ff.feature_matrix(out)
         assert matrix.shape == (len(out), 6) and matrix.dtype == np.float64
@@ -72,7 +72,7 @@ class TestExtractFeatures:
         assert (matrix[:, [1, 3, 5]] <= 0).all()
         assert matrix.tolist() == [list(row[2:]) for row in out.tolist()]
 
-    def test_raising_thresholds_never_adds_vectors(self):
+    def test_raising_thresholds_never_adds_vectors(self, monkeypatch):
         rng = np.random.default_rng(4)
         v = rng.normal(0, 5, size=600)
         epochs = epoch_array(t=1e-3 * np.arange(600), e=v, p=v, l=v,
@@ -81,15 +81,15 @@ class TestExtractFeatures:
         cfg = ff.FeatureWindowConfig(window_len=10, min_pos=2, min_neg=2)
         counts = []
         for gamma_code, gamma_carrier in [(28.0, 0.3), (32.0, 0.5), (36.0, 0.7)]:
-            trk = rc.TrackingConfig(gamma_code=gamma_code, gamma_carrier=gamma_carrier)
-            counts.append(len(ff.extract_features(epochs, cfg, trk)))
+            monkeypatch.setattr(rc, "_GAMMA_CODE", gamma_code)
+            monkeypatch.setattr(rc, "_GAMMA_CARRIER", gamma_carrier)
+            counts.append(len(ff.extract_features(epochs, cfg)))
         assert counts[0] >= counts[1] >= counts[2]
 
     def test_matches_per_epoch_oracle(self):
         # randomized windows, sign thresholds, lock failures, exact +/-0.0
         # prompts and lock metrics sitting exactly on the thresholds
         rng = np.random.default_rng(21)
-        trk = rc.TrackingConfig()
         for _ in range(300):
             n = int(rng.integers(0, 400))
             min_pos, min_neg = rng.integers(0, 4, size=2)
@@ -106,9 +106,9 @@ class TestExtractFeatures:
             for field in ("e", "p", "l"):  # imaginary parts, keeping -0.0 reals
                 epochs[field].imag = rng.normal(0, 1, size=n)
             prn = int(rng.integers(1, 33))
-            out = ff.extract_features(epochs, cfg, trk, prn)
+            out = ff.extract_features(epochs, cfg, prn)
             assert out.dtype == ff.FEATURE_DTYPE
-            assert out.tobytes() == extract_features_oracle(epochs, cfg, trk, prn).tobytes()
+            assert out.tobytes() == extract_features_oracle(epochs, cfg, prn).tobytes()
 
     def test_window_config_validation(self):
         with pytest.raises(ValueError):

@@ -205,13 +205,13 @@ class TestPerEpochOracle:
         # an epoch of several code periods starting near chip 1022 indexes
         # past three periods of the chip table
         monkeypatch.setattr(rc, "_LOCK_BLOCK", 7)
+        monkeypatch.setattr(rc, "INTEGRATION_TIME", integration_time)
         scen = ss.SatelliteScenario(prn=7, doppler=300.0, code_phase0=1022.6,
                                     cn0=50.0, nav_seed=3)
         iq = ss.synthesize_genuine([scen], duration=0.2, noise_seed=5)
-        cfg = rc.TrackingConfig(integration_time=integration_time)
         init = truth_init(7, 1022.6, 300.0)
-        status, epochs = track_channel_oracle(iq, init, cfg)
-        track = rc.track_channel(iq, init, cfg)
+        status, epochs = track_channel_oracle(iq, init, integration_time=integration_time)
+        track = rc.track_channel(iq, init)
         assert track.status == status
         assert len(epochs) == round(0.2 / integration_time)
         assert track.epochs.tobytes() == epochs.tobytes()
@@ -228,12 +228,13 @@ class TestPerEpochOracle:
             assert track.epochs.tobytes() == whole.epochs.tobytes() == epochs.tobytes()
 
     @pytest.mark.parametrize("integration_time", [1e-3, 5e-3])
-    def test_track_channel_in_blocks_from_nonzero_t0(self, oracle_channels, integration_time):
+    def test_track_channel_in_blocks_from_nonzero_t0(self, oracle_channels, monkeypatch,
+                                                     integration_time):
         iq, init, _, _ = oracle_channels["takeover_attack"][1]
         shifted = ss.IqStream(iq.samples, iq.sample_rate, t0=1234.5678)
-        cfg = rc.TrackingConfig(integration_time=integration_time)
-        status, epochs = track_channel_oracle(shifted, init, cfg)
-        track = rc.track_channel(_blocks(shifted, 2047), init, cfg)
+        monkeypatch.setattr(rc, "INTEGRATION_TIME", integration_time)
+        status, epochs = track_channel_oracle(shifted, init, integration_time=integration_time)
+        track = rc.track_channel(_blocks(shifted, 2047), init)
         assert track.status == status
         assert track.epochs.tobytes() == epochs.tobytes()
         assert track.epochs.t[0] == 1234.5678
@@ -344,10 +345,10 @@ class TestCn0Estimator:
         assert (est, clt) == (track.epochs[1019].cn0_est, track.epochs[1019].clt_est)
         assert rc._lock_estimates(np.zeros(20, complex), 1e-3) == (0.0, 0.0)
 
-    def test_noise_only_below_gamma(self):
+    def test_noise_only_below_gamma(self, monkeypatch):
+        monkeypatch.setattr(rc, "_GAMMA_CODE", 0.0)  # keep the channel past 50 failures
         iq = ss.synthesize_genuine([], duration=0.5, noise_seed=44)
-        track = rc.track_channel(iq, truth_init(3, 0.0, 0.0),
-                                 rc.TrackingConfig(gamma_code=0.0))
+        track = rc.track_channel(iq, truth_init(3, 0.0, 0.0))
         est = [e.cn0_est for e in track.epochs[19:]]
         assert max(est) < 32.0
 
@@ -378,7 +379,7 @@ class TestCarrierLockMetric:
 class TestLockTests:
     @staticmethod
     def _masks(cn0, clt):
-        return rc.lock_masks(epoch_array(cn0_est=cn0, clt_est=clt), rc.TrackingConfig())
+        return rc.lock_masks(epoch_array(cn0_est=cn0, clt_est=clt))
 
     def test_all_outcomes(self):
         # pass, fail_code, fail_carrier, fail_both
@@ -404,13 +405,3 @@ class TestConjugateMultiplyAlgebra:
             product = x * np.conj(r)
             assert product.real == pytest.approx(i * ir + q * qr, rel=1e-12, abs=1e-12)
             assert product.imag == pytest.approx(q * ir - qr * i, rel=1e-12, abs=1e-12)
-
-
-class TestTrackingConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            rc.TrackingConfig(el_spacing=0.0)
-        with pytest.raises(ValueError):
-            rc.TrackingConfig(el_spacing=1.5)
-        with pytest.raises(ValueError):
-            rc.TrackingConfig(dll_bandwidth=-1.0)
